@@ -14,84 +14,106 @@ namespace {
 
 struct Variant {
   const char* name;
+  const char* key;  ///< cell-id suffix
   bool remote_buffer;
   int64_t remote_bytes;
 };
 
+/// CDB4 with the variant's remote tier: read-write throughput, or with
+/// `failover` the F/R recovery of an RW restart.
+runner::CellResult RunVariantCell(const runner::CellSpec& spec,
+                                  const Variant& v, bool failover) {
+  SalesWorkloadConfig workload = runner::SalesConfigFor(spec);
+  if (failover) workload.route_reads_to_replicas = false;
+  SalesTransactionSet txns(workload);
+  cloud::ClusterConfig cfg = runner::ClusterConfigFor(spec);
+  cfg.remote_buffer = v.remote_buffer;
+  cfg.remote_buffer_bytes = v.remote_bytes;
+  if (!v.remote_buffer) {
+    cfg.node.miss_path = cloud::MissPath::kDisaggregatedStorage;
+    if (failover) {
+      // Without the warm remote tier the promoted node reconnects and warms
+      // like a storage-disaggregated CDB.
+      cfg.recovery.tps_rampup = sim::Seconds(12);
+      cfg.recovery.ramp_start = 0.10;
+    } else {
+      cfg.extra_memory_gb = 0;
+    }
+  }
+  runner::CellDeployment rig(spec, cfg, txns.Schemas());
+  runner::CellResult result;
+  if (failover) {
+    FailoverEvaluator::Options options;
+    options.concurrency = spec.concurrency;
+    options.warmup = spec.warmup;
+    options.target_tps = -1;
+    options.max_observation = spec.measure;
+    FailoverResult r =
+        FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
+    result.AddMetric("f_s", r.f_seconds, 1);
+    result.AddMetric("r_s", r.r_seconds, 1);
+  } else {
+    OltpEvaluator::Options options;
+    options.concurrency = spec.concurrency;
+    options.warmup = spec.warmup;
+    options.measure = spec.measure;
+    OltpResult r =
+        OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
+    cloud::RemoteBufferPool* remote = rig.cluster->remote_buffer();
+    result.AddMetric("tps", r.mean_tps, 0);
+    result.AddMetric(
+        "remote_hits",
+        remote != nullptr ? static_cast<double>(remote->fetches()) : 0.0, 0);
+  }
+  result.sim_seconds = rig.env.Now().ToSeconds();
+  return result;
+}
+
 void Run(const BenchArgs& args) {
   std::vector<Variant> variants = {
-      {"no remote buffer", false, 0},
-      {"remote 4GB", true, 4LL << 30},
-      {"remote 24GB (CDB4)", true, 24LL << 30},
+      {"no remote buffer", "no-remote", false, 0},
+      {"remote 4GB", "remote-4GB", true, 4LL << 30},
+      {"remote 24GB (CDB4)", "remote-24GB", true, 24LL << 30},
   };
+
+  // Matrix order: variant (outer) -> SF100 throughput, SF1 fail-over.
+  std::vector<runner::CellSpec> cells;
+  for (const Variant& v : variants) {
+    runner::CellSpec spec;
+    spec.sut = sut::SutKind::kCdb4;
+    spec.n_ro = 1;
+    spec.concurrency = 150;
+    spec.seed = args.seed;
+
+    spec.scale_factor = 100;
+    spec.measure = args.full ? sim::Seconds(4) : sim::Seconds(2);
+    spec.id = runner::DefaultCellId(spec) + "/" + v.key;
+    cells.push_back(spec);
+
+    spec.scale_factor = 1;
+    spec.warmup = sim::Seconds(4);
+    spec.measure = sim::Seconds(60);  // longest observation after failure
+    spec.id = runner::DefaultCellId(spec) + "/" + v.key + "/failover";
+    cells.push_back(spec);
+  }
+  std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
+      .Run(cells, [&variants](const runner::CellContext& ctx) {
+        return RunVariantCell(ctx.spec, variants[ctx.index / 2],
+                              /*failover=*/ctx.index % 2 == 1);
+      });
 
   std::printf(
       "=== Ablation: memory disaggregation (CDB4 base, RW SF100 con=150; "
       "fail-over at SF1) ===\n\n");
   util::TablePrinter table({"Variant", "TPS@SF100", "RemoteHits", "F(s)",
                             "R(s)"});
-  for (const Variant& v : variants) {
-    double tps = 0;
-    int64_t remote_hits = 0;
-    {
-      SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-      cfg.seed = args.seed;
-      SalesTransactionSet txns(cfg);
-      sim::Environment env;
-      cloud::ClusterConfig cluster_cfg = sut::MakeProfile(sut::SutKind::kCdb4);
-      sut::FreezeAtMaxCapacity(&cluster_cfg);
-      cluster_cfg.remote_buffer = v.remote_buffer;
-      cluster_cfg.remote_buffer_bytes = v.remote_bytes;
-      if (!v.remote_buffer) {
-        cluster_cfg.node.miss_path = cloud::MissPath::kDisaggregatedStorage;
-        cluster_cfg.extra_memory_gb = 0;
-      }
-      cloud::Cluster cluster(&env, cluster_cfg, 1);
-      cluster.Load(txns.Schemas(), 100);
-      cluster.PrewarmBuffers();
-      OltpEvaluator::Options options;
-      options.concurrency = 150;
-      options.warmup = sim::Seconds(1);
-      options.measure = args.full ? sim::Seconds(4) : sim::Seconds(2);
-      tps = OltpEvaluator::Run(&env, &cluster, &txns, options).mean_tps;
-      if (cluster.remote_buffer() != nullptr) {
-        remote_hits = cluster.remote_buffer()->fetches();
-      }
-    }
-
-    double f = 0, r = 0;
-    {
-      SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-      cfg.seed = args.seed;
-      cfg.route_reads_to_replicas = false;
-      SalesTransactionSet txns(cfg);
-      sim::Environment env;
-      cloud::ClusterConfig cluster_cfg = sut::MakeProfile(sut::SutKind::kCdb4);
-      sut::FreezeAtMaxCapacity(&cluster_cfg);
-      cluster_cfg.remote_buffer = v.remote_buffer;
-      cluster_cfg.remote_buffer_bytes = v.remote_bytes;
-      if (!v.remote_buffer) {
-        cluster_cfg.node.miss_path = cloud::MissPath::kDisaggregatedStorage;
-        // Without the warm remote tier the promoted node reconnects and
-        // warms like a storage-disaggregated CDB.
-        cluster_cfg.recovery.tps_rampup = sim::Seconds(12);
-        cluster_cfg.recovery.ramp_start = 0.10;
-      }
-      cloud::Cluster cluster(&env, cluster_cfg, 1);
-      cluster.Load(txns.Schemas(), 1);
-      cluster.PrewarmBuffers();
-      FailoverEvaluator::Options options;
-      options.concurrency = 150;
-      options.warmup = sim::Seconds(4);
-      options.target_tps = -1;
-      options.max_observation = sim::Seconds(60);
-      FailoverResult fr =
-          FailoverEvaluator::Run(&env, &cluster, &txns, options);
-      f = fr.f_seconds;
-      r = fr.r_seconds;
-    }
-    table.AddRow({v.name, F0(tps), F0(static_cast<double>(remote_hits)),
-                  F1(f), F1(r)});
+  for (size_t i = 0; i < variants.size(); ++i) {
+    const runner::CellResult& tps = results[2 * i];
+    const runner::CellResult& failover = results[2 * i + 1];
+    table.AddRow({variants[i].name, tps.ok ? tps.Text("tps") : "ERR",
+                  tps.Text("remote_hits"),
+                  failover.ok ? failover.Text("f_s") : "ERR",
+                  failover.Text("r_s")});
   }
   table.Print();
   std::printf(
@@ -104,7 +126,6 @@ void Run(const BenchArgs& args) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
   cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

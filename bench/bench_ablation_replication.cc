@@ -18,53 +18,87 @@ namespace {
 
 struct Variant {
   const char* name;
+  const char* key;  ///< cell-id suffix
   repl::ReplayMode mode;
   int lanes;
   sim::SimTime ship_interval;
 };
 
+runner::CellResult RunVariantCell(const runner::CellContext& ctx,
+                                  const Variant& v) {
+  const runner::CellSpec& spec = ctx.spec;
+  cloud::ClusterConfig cfg = runner::ClusterConfigFor(spec);
+  cfg.replay.mode = v.mode;
+  cfg.replay.parallel_lanes = v.lanes;
+  cfg.replay.ship_interval = v.ship_interval;
+  runner::CellDeployment rig(spec, cfg, sales::Schemas());
+
+  LagTimeEvaluator::Options options;
+  options.concurrency = spec.concurrency;
+  options.warmup = spec.warmup;
+  options.measure = spec.measure;
+  options.insert_pct = 40;
+  options.update_pct = 40;
+  options.delete_pct = 20;
+  options.seed = spec.seed;
+  LagTimeResult r =
+      LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
+  bool converged = rig.cluster->replayer(0)->applied_lsn() ==
+                   rig.cluster->log_manager()->appended_lsn();
+  runner::CellResult result;
+  result.AddMetric("update_lag_ms", r.update_lag_ms, 2);
+  result.AddMetric("insert_lag_ms", r.insert_lag_ms, 2);
+  result.AddMetric("applied", static_cast<double>(r.records_applied), 0);
+  result.AddText("converged", converged ? "yes" : "no");
+  result.sim_seconds = rig.env.Now().ToSeconds();
+  return result;
+}
+
 void Run(const BenchArgs& args) {
   std::vector<Variant> variants = {
-      {"sequential, ship 2s", repl::ReplayMode::kSequential, 1, sim::Seconds(2)},
-      {"sequential, ship 300ms", repl::ReplayMode::kSequential, 1, sim::Millis(300)},
-      {"sequential, ship 20ms", repl::ReplayMode::kSequential, 1, sim::Millis(20)},
-      {"parallel x2, ship 20ms", repl::ReplayMode::kParallel, 2, sim::Millis(20)},
-      {"parallel x8, ship 20ms", repl::ReplayMode::kParallel, 8, sim::Millis(20)},
-      {"parallel x8, ship 2ms", repl::ReplayMode::kParallel, 8, sim::Millis(2)},
-      {"invalidation, ship 2ms", repl::ReplayMode::kRemoteInvalidation, 16, sim::Millis(2)},
+      {"sequential, ship 2s", "seq-2s", repl::ReplayMode::kSequential, 1,
+       sim::Seconds(2)},
+      {"sequential, ship 300ms", "seq-300ms", repl::ReplayMode::kSequential,
+       1, sim::Millis(300)},
+      {"sequential, ship 20ms", "seq-20ms", repl::ReplayMode::kSequential, 1,
+       sim::Millis(20)},
+      {"parallel x2, ship 20ms", "par2-20ms", repl::ReplayMode::kParallel, 2,
+       sim::Millis(20)},
+      {"parallel x8, ship 20ms", "par8-20ms", repl::ReplayMode::kParallel, 8,
+       sim::Millis(20)},
+      {"parallel x8, ship 2ms", "par8-2ms", repl::ReplayMode::kParallel, 8,
+       sim::Millis(2)},
+      {"invalidation, ship 2ms", "inval-2ms",
+       repl::ReplayMode::kRemoteInvalidation, 16, sim::Millis(2)},
   };
+
+  std::vector<runner::CellSpec> cells;
+  for (const Variant& v : variants) {
+    runner::CellSpec spec;
+    spec.sut = sut::SutKind::kCdb3;
+    spec.n_ro = 1;
+    spec.concurrency = 40;
+    spec.pattern = "I40/U40/D20";
+    spec.seed = args.seed;
+    spec.measure = args.full ? sim::Seconds(8) : sim::Seconds(4);
+    spec.id = runner::DefaultCellId(spec) + "/" + v.key;
+    cells.push_back(spec);
+  }
+  std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
+      .Run(cells, [&variants](const runner::CellContext& ctx) {
+        return RunVariantCell(ctx, variants[ctx.index]);
+      });
 
   std::printf(
       "=== Ablation: replication design choices on one substrate (CDB3 "
       "base, I/U/D 40/40/20, con=40) ===\n\n");
   util::TablePrinter table({"Variant", "UpdateLag(ms)", "InsertLag(ms)",
                             "Applied", "Converged"});
-  for (const Variant& v : variants) {
-    SalesWorkloadConfig cfg = SalesWorkloadConfig::IudMix(40, 40, 20);
-    cfg.seed = args.seed;
-    sim::Environment env;
-    cloud::ClusterConfig cluster_cfg = sut::MakeProfile(sut::SutKind::kCdb3);
-    sut::FreezeAtMaxCapacity(&cluster_cfg);
-    cluster_cfg.replay.mode = v.mode;
-    cluster_cfg.replay.parallel_lanes = v.lanes;
-    cluster_cfg.replay.ship_interval = v.ship_interval;
-    cloud::Cluster cluster(&env, cluster_cfg, 1);
-    cluster.Load(sales::Schemas(), 1);
-    cluster.PrewarmBuffers();
-
-    LagTimeEvaluator::Options options;
-    options.concurrency = 40;
-    options.warmup = sim::Seconds(1);
-    options.measure = args.full ? sim::Seconds(8) : sim::Seconds(4);
-    options.insert_pct = 40;
-    options.update_pct = 40;
-    options.delete_pct = 20;
-    LagTimeResult r = LagTimeEvaluator::Run(&env, &cluster, options);
-    bool converged = cluster.replayer(0)->applied_lsn() ==
-                     cluster.log_manager()->appended_lsn();
-    table.AddRow({v.name, F2(r.update_lag_ms), F2(r.insert_lag_ms),
-                  F0(static_cast<double>(r.records_applied)),
-                  converged ? "yes" : "no"});
+  for (size_t i = 0; i < variants.size(); ++i) {
+    const runner::CellResult& r = results[i];
+    table.AddRow({variants[i].name, r.ok ? r.Text("update_lag_ms") : "ERR",
+                  r.Text("insert_lag_ms"), r.Text("applied"),
+                  r.Text("converged")});
   }
   table.Print();
   std::printf(
@@ -77,7 +111,6 @@ void Run(const BenchArgs& args) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
   cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

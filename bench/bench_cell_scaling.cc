@@ -17,9 +17,6 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
-#include "runner/sharded_cell.h"
 
 namespace cloudybench::bench {
 namespace {
@@ -28,7 +25,6 @@ struct ScalingConfig {
   int tenants = 8;
   std::vector<int> ladder;  ///< shard counts to run, in order
   runner::CellSpec cell;
-  std::string jsonl_path;
 };
 
 runner::CellSpec MakeCell(const BenchArgs& args, bool smoke, int tenants) {
@@ -52,10 +48,9 @@ runner::CellResult RunAt(const ScalingConfig& cfg, const BenchArgs& args,
                          int shards, bool write_jsonl) {
   runner::CellSpec spec = cfg.cell;
   spec.cell_shards = shards;
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
+  runner::RunnerOptions options = args.runner;
   options.print_summary = false;
-  if (write_jsonl) options.jsonl_path = cfg.jsonl_path;
+  if (!write_jsonl) options.jsonl_path.clear();
   std::vector<runner::CellResult> results =
       runner::MatrixRunner(options).Run({spec}, runner::RunOltpCell);
   CB_CHECK_EQ(results.size(), 1u);
@@ -118,15 +113,13 @@ void Run(const ScalingConfig& cfg, const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   using namespace cloudybench;
-  util::SetLogLevel(util::LogLevel::kWarning);
-  std::string shards_flag, tenants_flag, smoke_flag, jsonl_path;
+  std::string shards_flag, tenants_flag, smoke_flag;
   bench::BenchArgs args = bench::BenchArgs::Parse(
       argc, argv,
       {{"--cell-shards=", &shards_flag,
         "run one shard count instead of the 1/2/4/8 ladder"},
        {"--tenants=", &tenants_flag, "tenants in the big cell (default 8)"},
-       {"--smoke", &smoke_flag, "tiny CI run: 4 tenants, ladder {1,2}"},
-       {"--jsonl=", &jsonl_path, "write the merged result row (JSONL)"}});
+       {"--smoke", &smoke_flag, "tiny CI run: 4 tenants, ladder {1,2}"}});
 
   bench::ScalingConfig cfg;
   bool smoke = !smoke_flag.empty();
@@ -149,7 +142,6 @@ int main(int argc, char** argv) {
     }
   }
   cfg.cell = bench::MakeCell(args, smoke, cfg.tenants);
-  cfg.jsonl_path = jsonl_path;
   bench::Run(cfg, args);
   return 0;
 }

@@ -19,7 +19,7 @@
 #include "chaos/harness.h"
 #include "chaos/shrinker.h"
 #include "fault/fault.h"
-#include "runner/runner.h"
+#include "obs/exporters.h"
 
 namespace cloudybench::bench {
 namespace {
@@ -90,8 +90,8 @@ runner::CellResult RunChaosCell(const runner::CellContext& ctx,
 }
 
 int Run(const char* argv0, const BenchArgs& args,
-        const std::string& jsonl_path, const std::string& verdicts_path,
-        const std::string& custom_plan, int n_plans) {
+        const std::string& verdicts_path, const std::string& custom_plan,
+        int n_plans) {
   std::vector<sut::SutKind> suts = sut::AllSuts();
   chaos::PlanFuzzer fuzzer(args.seed);
 
@@ -130,11 +130,8 @@ int Run(const char* argv0, const BenchArgs& args,
     cells.push_back(spec);
   }
 
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(
+      runner::MatrixRunner(args.runner).Run(
           cells, [&cases](const runner::CellContext& ctx) {
             return RunChaosCell(ctx, cases[ctx.index]);
           });
@@ -205,16 +202,13 @@ int Run(const char* argv0, const BenchArgs& args,
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
   std::string verdicts_path;
   std::string faults;
   std::string plans;
   std::string smoke;
   cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
       argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"},
-       {"--verdicts=", &verdicts_path,
+      {{"--verdicts=", &verdicts_path,
         "write per-oracle verdict rows (JSONL)"},
        {"--faults=", &faults,
         "replay one plan across all five SUTs (repro workflow)"},
@@ -224,6 +218,6 @@ int main(int argc, char** argv) {
   if (args.full) n_plans = 100;
   if (!smoke.empty()) n_plans = 25;
   if (!plans.empty()) n_plans = std::atoi(plans.c_str());
-  return cloudybench::bench::Run(argv[0], args, jsonl_path, verdicts_path,
-                                 faults, n_plans);
+  return cloudybench::bench::Run(argv[0], args, verdicts_path, faults,
+                                 n_plans);
 }

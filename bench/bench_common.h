@@ -1,22 +1,18 @@
 #ifndef CLOUDYBENCH_BENCH_BENCH_COMMON_H_
 #define CLOUDYBENCH_BENCH_BENCH_COMMON_H_
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "cloud/cluster.h"
 #include "core/collector.h"
 #include "core/evaluators.h"
 #include "core/sales_workload.h"
 #include "core/workload_manager.h"
-#include "obs/exporters.h"
-#include "obs/timeline.h"
-#include "sim/environment.h"
+#include "runner/oltp_cell.h"
+#include "runner/runner.h"
 #include "sut/profiles.h"
 #include "util/logging.h"
 #include "util/string_util.h"
@@ -24,178 +20,102 @@
 
 namespace cloudybench::bench {
 
-/// Bench-specific extension flag, parsed alongside the common set. A
-/// `prefix` ending in '=' takes a value ("--trace=PATH" stores "PATH");
-/// otherwise the flag is boolean and stores "1".
+/// One command-line flag. A `prefix` ending in '=' takes a value
+/// ("--faults=PLAN" stores "PLAN"); otherwise the flag is boolean and
+/// stores "1".
 struct BenchFlag {
   const char* prefix;
   std::string* value;
   const char* help;
 };
 
-/// Common command-line handling for the reproduction benches. Every bench
-/// accepts:
-///   --full         paper-scale sweep (longer; default is a representative
-///                  subset so `for b in bench/*; do $b; done` stays quick)
-///   --seed=N       RNG seed
-///   --jobs=N       worker threads for matrix-runner benches (0 = all
-///                  hardware threads; serial benches accept and ignore it)
+/// Common command-line handling for the reproduction benches, which all run
+/// their cells on runner::MatrixRunner. Every bench accepts --full
+/// (paper-scale sweep; the default is a representative subset so
+/// `for b in bench/*; do $b; done` stays quick), --seed=N, and the runner's
+/// flag set — --jobs=N, --jsonl= and the per-cell --*-template= artifact
+/// paths — parsed into `runner`. Bench-specific flags come in as `extra`.
 ///
 /// Anything else — including a typo like `--ful` — prints a usage message
 /// and exits with status 2 instead of silently running the wrong sweep.
 struct BenchArgs {
   bool full = false;
   uint64_t seed = 42;
-  int jobs = 0;
+  runner::RunnerOptions runner;
 
   static void PrintUsage(FILE* out, const char* argv0,
-                         const std::vector<BenchFlag>& extra) {
-    std::fprintf(out,
-                 "usage: %s [--full] [--seed=N] [--jobs=N]", argv0);
-    for (const BenchFlag& flag : extra) {
+                         const std::vector<BenchFlag>& flags) {
+    std::fprintf(out, "usage: %s", argv0);
+    for (const BenchFlag& flag : flags) {
       std::fprintf(out, " [%s%s]", flag.prefix,
                    util::EndsWith(flag.prefix, "=") ? "..." : "");
     }
-    std::fprintf(out,
-                 "\n  --full     paper-scale sweep (default: representative "
-                 "subset)\n"
-                 "  --seed=N   RNG seed (default 42)\n"
-                 "  --jobs=N   matrix worker threads; 0 = all hardware "
-                 "threads\n");
-    for (const BenchFlag& flag : extra) {
+    std::fprintf(out, "\n");
+    for (const BenchFlag& flag : flags) {
       std::fprintf(out, "  %-10s %s\n", flag.prefix, flag.help);
     }
   }
 
+  /// Parses argv; also quiets logging to warnings so the tables stay clean.
   static BenchArgs Parse(int argc, char** argv,
                          const std::vector<BenchFlag>& extra = {}) {
+    util::SetLogLevel(util::LogLevel::kWarning);
     BenchArgs args;
+    std::string full, seed = "42", jobs = "0";
+    runner::RunnerOptions& o = args.runner;
+    std::vector<BenchFlag> flags = {
+        {"--full", &full, "paper-scale sweep (default: representative subset)"},
+        {"--seed=", &seed, "RNG seed (default 42)"},
+        {"--jobs=", &jobs, "matrix worker threads; 0 = all hardware threads"},
+        {"--jsonl=", &o.jsonl_path, "write per-cell result rows (JSONL)"},
+        {"--trace-template=", &o.trace_template,
+         "per-cell Chrome trace path; {id}/{index}/{sut}/{sf}/{con}/"
+         "{pattern}/{seed} expand"},
+        {"--metrics-template=", &o.metrics_template,
+         "per-cell metrics snapshot path (same placeholders)"},
+        {"--timeline-csv-template=", &o.timeline_csv_template,
+         "per-cell timeline CSV path (same placeholders)"},
+        {"--timeline-jsonl-template=", &o.timeline_jsonl_template,
+         "per-cell timeline JSONL path (same placeholders)"},
+        {"--profile-collapsed-template=", &o.profile_collapsed_template,
+         "per-cell collapsed-stack profile path (same placeholders)"},
+        {"--profile-chrome-template=", &o.profile_chrome_template,
+         "per-cell merged-tree Chrome trace path (same placeholders)"}};
+    flags.insert(flags.end(), extra.begin(), extra.end());
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
-      if (a == "--full") {
-        args.full = true;
-        continue;
-      }
-      if (util::StartsWith(a, "--seed=")) {
-        int64_t v = 0;
-        CB_CHECK(util::ParseInt64(a.substr(7), &v)) << "bad --seed";
-        args.seed = static_cast<uint64_t>(v);
-        continue;
-      }
-      if (util::StartsWith(a, "--jobs=")) {
-        int64_t v = 0;
-        CB_CHECK(util::ParseInt64(a.substr(7), &v) && v >= 0 && v <= 4096)
-            << "bad --jobs (want 0..4096)";
-        args.jobs = static_cast<int>(v);
-        continue;
-      }
       if (a == "--help" || a == "-h") {
-        PrintUsage(stdout, argv[0], extra);
+        PrintUsage(stdout, argv[0], flags);
         std::exit(0);
       }
       bool matched = false;
-      for (const BenchFlag& flag : extra) {
-        if (util::EndsWith(flag.prefix, "=")
-                ? util::StartsWith(a, flag.prefix)
-                : a == flag.prefix) {
-          *flag.value = util::EndsWith(flag.prefix, "=")
-                            ? a.substr(std::strlen(flag.prefix))
-                            : "1";
+      for (const BenchFlag& flag : flags) {
+        bool valued = util::EndsWith(flag.prefix, "=");
+        if (valued ? util::StartsWith(a, flag.prefix) : a == flag.prefix) {
+          *flag.value = valued ? a.substr(std::strlen(flag.prefix)) : "1";
           matched = true;
           break;
         }
       }
       if (matched) continue;
       std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], a.c_str());
-      PrintUsage(stderr, argv[0], extra);
+      PrintUsage(stderr, argv[0], flags);
       std::exit(2);
     }
+    int64_t v = 0;
+    CB_CHECK(util::ParseInt64(seed, &v)) << "bad --seed";
+    args.seed = static_cast<uint64_t>(v);
+    CB_CHECK(util::ParseInt64(jobs, &v) && v >= 0 && v <= 4096)
+        << "bad --jobs (want 0..4096)";
+    args.runner.jobs = static_cast<int>(v);
+    args.full = !full.empty();
     return args;
   }
 };
 
-/// One deployed SUT ready to benchmark: environment + loaded, prewarmed
-/// cluster. Construct one per measurement cell (fresh, deterministic).
-/// The timeline sampler starts with the rig and no-ops unless the caller
-/// armed the thread-local obs::Timeline first (see BeginTimelineCell).
-struct SutRig {
-  SutRig(sut::SutKind kind, int64_t sf, int n_ro,
-         const std::vector<storage::TableSchema>& schemas,
-         bool freeze = true, double time_scale = 1.0) {
-    cloud::ClusterConfig cfg = sut::MakeProfile(kind, time_scale);
-    if (freeze) sut::FreezeAtMaxCapacity(&cfg);
-    cluster = std::make_unique<cloud::Cluster>(&env, cfg, n_ro);
-    cluster->Load(schemas, sf);
-    cluster->PrewarmBuffers();
-    sampler.Start();
-  }
-
-  sim::Environment env;
-  std::unique_ptr<cloud::Cluster> cluster;
-  obs::TimelineSampler sampler{&env};
-};
-
-/// Serial-bench timeline cell protocol. `dir` empty disables everything
-/// (the bench runs exactly as before). Otherwise: call BeginTimelineCell
-/// *before* constructing the cell's SutRig (the rig's sampler only starts
-/// if the timeline is already enabled), run the cell, then
-/// ExportTimelineCell to write `<dir>/<cell>.timeline.{csv,jsonl}`.
-inline void BeginTimelineCell(const std::string& dir) {
-  // Reset the metric registry too, so a cell's sampled metric names
-  // (cluster.<name>#<seq>.*) depend only on the cell, not on how many
-  // cells the bench ran before it — the same guarantee MatrixRunner gives.
-  obs::MetricRegistry::Get().Clear();
-  obs::Timeline& timeline = obs::Timeline::Get();
-  timeline.Clear();
-  timeline.SetEnabled(!dir.empty());
-}
-
-/// Path-safe cell name: anything outside [A-Za-z0-9.-] becomes '_'
-/// ("AWS RDS" -> "AWS_RDS", "I60/U30/D10" -> "I60_U30_D10").
-inline std::string TimelineCellName(std::string s) {
-  for (char& c : s) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '-' && c != '.') {
-      c = '_';
-    }
-  }
-  return s;
-}
-
-inline void ExportTimelineCell(const std::string& dir,
-                               const std::string& cell) {
-  obs::Timeline& timeline = obs::Timeline::Get();
-  if (!dir.empty()) {
-    std::string base = dir + "/" + cell + ".timeline";
-    util::Status csv = obs::WriteTimelineCsvFile(timeline, base + ".csv");
-    if (!csv.ok()) CB_LOG(kError) << "timeline CSV export failed: " << csv;
-    util::Status jsonl =
-        obs::WriteTimelineJsonlFile(timeline, base + ".jsonl");
-    if (!jsonl.ok()) {
-      CB_LOG(kError) << "timeline JSONL export failed: " << jsonl;
-    }
-  }
-  timeline.SetEnabled(false);
-  timeline.Clear();
-}
-
-/// Enables serverless behaviour for elasticity runs: the autoscaler policy
-/// stays as profiled and memory follows vCores.
-inline void MakeServerless(cloud::ClusterConfig* cfg) {
-  if (cfg->autoscaler.policy != cloud::ScalingPolicy::kFixed) {
-    cfg->node.memory_follows_vcores = true;
-    cfg->node.vcores = cfg->autoscaler.min_vcores;
-    cfg->node.memory_gb =
-        cfg->autoscaler.min_vcores * cfg->node.memory_gb_per_vcore;
-  }
-}
-
 inline std::string F0(double v) { return util::FormatDouble(v, 0); }
 inline std::string F1(double v) { return util::FormatDouble(v, 1); }
 inline std::string F2(double v) { return util::FormatDouble(v, 2); }
-inline std::string F4(double v) { return util::FormatDouble(v, 4); }
-inline std::string Dollars(double v) {
-  return "$" + util::FormatDouble(v, 4);
-}
 
 }  // namespace cloudybench::bench
 

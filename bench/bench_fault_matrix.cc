@@ -18,8 +18,6 @@
 #include "fault/fault.h"
 #include "fault/injector.h"
 #include "fault/scenarios.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
@@ -95,8 +93,7 @@ runner::CellResult RunFaultCell(const runner::CellContext& ctx,
 }
 
 void Run(const char* argv0, const BenchArgs& args,
-         const std::string& jsonl_path, const std::string& custom_plan,
-         bool smoke) {
+         const std::string& custom_plan, bool smoke) {
   // Scenario list: the six built-ins, or one "custom" scenario from
   // --faults=. --smoke keeps a representative pair for CI determinism
   // diffs (jobs=1 vs jobs=2 must produce identical bytes).
@@ -138,11 +135,8 @@ void Run(const char* argv0, const BenchArgs& args,
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(
+      runner::MatrixRunner(args.runner).Run(
           cells, [&plans, &suts](const runner::CellContext& ctx) {
             return RunFaultCell(ctx, plans[ctx.index / suts.size()]);
           });
@@ -179,16 +173,13 @@ void Run(const char* argv0, const BenchArgs& args,
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
   std::string faults;
   std::string smoke;
   cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
       argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"},
-       {"--faults=", &faults,
+      {{"--faults=", &faults,
         "custom fault plan (replaces the built-in scenarios)"},
        {"--smoke", &smoke, "two-scenario subset for CI determinism checks"}});
-  cloudybench::bench::Run(argv[0], args, jsonl_path, faults, !smoke.empty());
+  cloudybench::bench::Run(argv[0], args, faults, !smoke.empty());
   return 0;
 }

@@ -6,22 +6,15 @@
 // concurrency grows (44 MB buffer); CDB3 beats CDB1/CDB2 (local file cache
 // + parallel replay); AWS RDS leads RW at SF1/low concurrency but falls
 // behind as data and concurrency grow (dirty-page flushing).
-//
-// Ported to the experiment-matrix runner: every (SF, SUT, mode, con) cell
-// is an independent deterministic simulation, executed on --jobs worker
-// threads and collected in matrix order — output is byte-identical at any
-// job count.
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
 
-void Run(const BenchArgs& args, const std::string& jsonl_path) {
+void Run(const BenchArgs& args) {
   std::vector<int64_t> sfs = args.full ? std::vector<int64_t>{1, 10, 100}
                                        : std::vector<int64_t>{1, 100};
   std::vector<int> cons = args.full ? std::vector<int>{50, 100, 150, 200}
@@ -51,11 +44,8 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(cells, runner::RunOltpCell);
+      runner::MatrixRunner(args.runner).Run(cells, runner::RunOltpCell);
 
   std::printf("=== Figure 5: OLTP throughput (TPS), 1 RW + 1 RO node ===\n");
   size_t idx = 0;
@@ -84,11 +74,6 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"}});
-  cloudybench::bench::Run(args, jsonl_path);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

@@ -20,79 +20,94 @@ namespace cloudybench::bench {
 namespace {
 
 constexpr double kTimeScale = 0.1;
+constexpr int kTau = 110;  // the paper's calibrated saturation concurrency
 
-void Run(const BenchArgs& args, const std::string& timeline_dir) {
-  int tau = 110;  // the paper's calibrated saturation concurrency
-  sim::SimTime slot = sim::Seconds(60 * kTimeScale);
+runner::CellResult RunElasticityCell(const runner::CellContext& ctx,
+                                     ElasticityPattern pattern) {
+  SalesTransactionSet txns(runner::SalesConfigFor(ctx.spec));
+  runner::CellDeployment rig(ctx.spec, txns.Schemas());
+  ElasticityEvaluator::Options options;
+  options.tau = ctx.spec.concurrency;
+  options.slot = sim::Seconds(60 * kTimeScale);
+  options.cost_window_slots = 10;
+  ElasticityResult r = ElasticityEvaluator::Run(&rig.env, rig.cluster.get(),
+                                                &txns, pattern, options);
 
-  struct Mode {
-    const char* name;
-    SalesWorkloadConfig cfg;
-  };
-  std::vector<Mode> modes = {{"RO", SalesWorkloadConfig::ReadOnly()},
-                             {"RW", SalesWorkloadConfig::ReadWrite()},
-                             {"WO", SalesWorkloadConfig::WriteOnly()}};
-  if (!args.full) {
-    modes = {{"RW", SalesWorkloadConfig::ReadWrite()}};
+  std::string schedule = "(";
+  for (size_t i = 0; i < r.schedule.size(); ++i) {
+    if (i > 0) schedule += ',';
+    schedule += std::to_string(r.schedule[i]);
   }
+  schedule += ')';
+  runner::CellResult result;
+  result.AddText("schedule", schedule);
+  result.AddMetric("tps", r.mean_tps, 0);
+  result.AddMetric("total_cost", r.total_cost.total(), 4);
+  // "ScaledCost" isolates the components elasticity actually varies
+  // (cpu+mem+iops, the E1 denominator) — this is where the paper's 9-12x
+  // fixed-vs-CDB3 cost gap lives; storage+network are flat.
+  result.AddMetric("scaled_cost",
+                   r.total_cost.cpu + r.total_cost.memory + r.total_cost.iops,
+                   4);
+  result.AddMetric("e1_score", r.e1_score, 0);
+  result.sim_seconds = rig.env.Now().ToSeconds();
+  return result;
+}
+
+void Run(const BenchArgs& args) {
+  std::vector<std::string> modes =
+      args.full ? std::vector<std::string>{"RO", "RW", "WO"}
+                : std::vector<std::string>{"RW"};
+  std::vector<sut::SutKind> suts = sut::AllSuts();
+  std::vector<ElasticityPattern> patterns = AllElasticityPatterns();
+
+  // Matrix order: mode (outer) -> SUT -> pattern (inner), the printed
+  // nesting; the pattern is named in the id.
+  std::vector<runner::CellSpec> cells;
+  for (const std::string& mode : modes) {
+    for (sut::SutKind kind : suts) {
+      for (ElasticityPattern pattern : patterns) {
+        runner::CellSpec spec;
+        spec.sut = kind;
+        spec.concurrency = kTau;
+        spec.pattern = mode;
+        spec.seed = args.seed;
+        // Serverless SUTs run with autoscaling enabled; fixed SUTs (RDS,
+        // CDB4) keep their provisioned size — exactly the contrast the
+        // paper evaluates.
+        spec.serverless = true;
+        spec.freeze_at_max = false;
+        spec.time_scale = kTimeScale;
+        spec.id = runner::DefaultCellId(spec) + "/" +
+                  ElasticityPatternName(pattern);
+        cells.push_back(spec);
+      }
+    }
+  }
+  std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
+      .Run(cells, [&patterns](const runner::CellContext& ctx) {
+        return RunElasticityCell(ctx, patterns[ctx.index % patterns.size()]);
+      });
 
   std::printf(
       "=== Figure 6: elasticity — TPS, total cost, E1-Score "
       "(SF1, tau=%d, slot=%.0fs, time-scale %.1f) ===\n",
-      tau, slot.ToSeconds(), kTimeScale);
-  for (const Mode& mode : modes) {
+      kTau, 60 * kTimeScale, kTimeScale);
+  size_t idx = 0;
+  for (const std::string& mode : modes) {
     util::TablePrinter table({"System", "Pattern", "Schedule", "TPS",
                               "TotalCost", "ScaledCost", "E1-Score"});
-    for (sut::SutKind kind : sut::AllSuts()) {
-      for (ElasticityPattern pattern : AllElasticityPatterns()) {
-        SalesWorkloadConfig cfg = mode.cfg;
-        cfg.seed = args.seed;
-        SalesTransactionSet txns(cfg);
-        // Serverless SUTs run with autoscaling enabled; fixed SUTs
-        // (RDS, CDB4) keep their provisioned size — exactly the contrast
-        // the paper evaluates.
-        cloud::ClusterConfig cluster_cfg = sut::MakeProfile(kind, kTimeScale);
-        MakeServerless(&cluster_cfg);
-        // One timeline cell per (mode, SUT, pattern): the journal captures
-        // every autoscale.decision/applied (and pause/resume) the pattern
-        // provokes, the sampler the vcores/memory series between them.
-        BeginTimelineCell(timeline_dir);
-        sim::Environment env;
-        cloud::Cluster cluster(&env, cluster_cfg, 0);
-        cluster.Load(txns.Schemas(), 1);
-        cluster.PrewarmBuffers();
-        obs::TimelineSampler sampler(&env);
-        sampler.Start();
-
-        ElasticityEvaluator::Options options;
-        options.tau = tau;
-        options.slot = slot;
-        options.cost_window_slots = 10;
-        ElasticityResult result = ElasticityEvaluator::Run(
-            &env, &cluster, &txns, pattern, options);
-
-        std::string schedule;
-        for (size_t i = 0; i < result.schedule.size(); ++i) {
-          schedule += (i > 0 ? "," : "") + std::to_string(result.schedule[i]);
-        }
-        // "ScaledCost" isolates the components elasticity actually varies
-        // (cpu+mem+iops, the E1 denominator) — this is where the paper's
-        // 9-12x fixed-vs-CDB3 cost gap lives; storage+network are flat.
-        double scaled_cost = result.total_cost.cpu + result.total_cost.memory +
-                             result.total_cost.iops;
+    for (sut::SutKind kind : suts) {
+      for (ElasticityPattern pattern : patterns) {
+        const runner::CellResult& r = results[idx++];
         table.AddRow({sut::SutName(kind), ElasticityPatternName(pattern),
-                      "(" + schedule + ")", F0(result.mean_tps),
-                      Dollars(result.total_cost.total()), Dollars(scaled_cost),
-                      F0(result.e1_score)});
-        ExportTimelineCell(
-            timeline_dir,
-            TimelineCellName(std::string("fig6_") + mode.name + "_" +
-                             sut::SutName(kind) + "_" +
-                             ElasticityPatternName(pattern)));
+                      r.ok ? r.Text("schedule") : "ERR", r.Text("tps"),
+                      "$" + r.Text("total_cost"), "$" + r.Text("scaled_cost"),
+                      r.Text("e1_score")});
       }
       table.AddSeparator();
     }
-    table.Print(std::string("\n--- mode ") + mode.name + " ---");
+    table.Print("\n--- mode " + mode + " ---");
   }
 }
 
@@ -100,12 +115,6 @@ void Run(const BenchArgs& args, const std::string& timeline_dir) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string timeline_dir = "timelines";
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--timeline-dir=", &timeline_dir,
-        "timeline artifact directory (empty disables; default timelines)"}});
-  cloudybench::bench::Run(args, timeline_dir);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

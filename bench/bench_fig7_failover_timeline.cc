@@ -13,9 +13,15 @@
 #include <string>
 
 #include "bench_common.h"
+#include "obs/metric_registry.h"
+#include "obs/timeline.h"
 
 namespace cloudybench::bench {
 namespace {
+
+/// Rows every 0.5 s from the failure to 12 s after it.
+constexpr double kStep = 0.5;
+constexpr double kHorizon = 12.0;
 
 /// Fallback for -DCLOUDYBENCH_ENABLE_OBS=OFF builds (no journal to read):
 /// the same phase schedule derived from the RecoveryModel constants.
@@ -55,73 +61,93 @@ const char* PhaseFromJournal(double t_abs_s) {
   return phase;
 }
 
-void Run(const BenchArgs& args, const std::string& timeline_dir) {
-  // The journal drives the phase column, so the timeline is always armed;
-  // --timeline-dir= only controls whether artifacts are written.
-  obs::Timeline::Get().Clear();
+runner::CellResult RunTimelineCell(const runner::CellContext& ctx) {
+  const runner::CellSpec& spec = ctx.spec;
+  // The journal drives the phase column, so the timeline is armed even when
+  // no timeline template asked for artifacts — before deploying, so the
+  // deployment's sampler starts too.
   obs::Timeline::Get().SetEnabled(true);
-
-  SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-  cfg.seed = args.seed;
+  SalesWorkloadConfig cfg = runner::SalesConfigFor(spec);
   cfg.route_reads_to_replicas = false;  // keep every txn in one TPS stream
   SalesTransactionSet txns(cfg);
-  SutRig rig(sut::SutKind::kCdb4, /*sf=*/1, /*n_ro=*/1, txns.Schemas());
+  runner::CellDeployment rig(spec, txns.Schemas());
 
   PerformanceCollector collector(&rig.env, sim::Millis(250));
   collector.RegisterWith(&obs::MetricRegistry::Get(), "oltp.");
   collector.Start();
   WorkloadManager manager(&rig.env, rig.cluster.get(), &txns, &collector);
-  manager.SetConcurrency(150);
-  rig.env.RunFor(sim::Seconds(5));
+  manager.SetConcurrency(spec.concurrency);
+  rig.env.RunFor(spec.warmup);
 
   cloud::ComputeNode* old_rw = rig.cluster->rw();
   cloud::ComputeNode* old_ro = rig.cluster->ro(0);
   double t_f = rig.env.Now().ToSeconds();
   rig.cluster->InjectRwRestart(rig.env.Now());
 
-  std::printf("=== Figure 7: CDB4 fail-over timeline (failure at t=0) ===\n\n");
-  std::printf("%-8s %-6s %-28s %-28s %s\n", "t(s)", "TPS", "node A (old RW)",
-              "node B (old RO)", "phase");
-
-  for (double dt = 0.0; dt <= 12.0; dt += 0.5) {
+  auto describe = [](cloud::ComputeNode* node) {
+    std::string s = node->is_rw() ? "RW" : "RO";
+    s += node->available() ? " (up)" : " (down)";
+    return s;
+  };
+  runner::CellResult result;
+  for (double dt = 0.0; dt <= kHorizon; dt += kStep) {
     rig.env.RunUntil(sim::Seconds(t_f + dt));
     // The collector stamps each 250 ms sample at its window end, so the
     // trailing (t-0.5, t] window holds exactly the two samples the old
     // epsilon-shifted [t-0.5+eps, t+eps) arithmetic selected.
-    double tps = collector.tps_series().MeanInTrailingWindow(t_f + dt, 0.5);
-    const char* phase =
-        obs::kCompiled ? PhaseFromJournal(t_f + dt)
-                       : PhaseFromModel(dt, rig.cluster->config().recovery);
-    auto describe = [](cloud::ComputeNode* node) {
-      std::string s = node->is_rw() ? "RW" : "RO";
-      s += node->available() ? " (up)" : " (down)";
-      return s;
-    };
-    std::printf("%-8s %-6.0f %-28s %-28s %s\n", F1(dt).c_str(), tps,
-                describe(old_rw).c_str(), describe(old_ro).c_str(), phase);
+    std::string at = "@" + F1(dt);
+    result.AddMetric("tps" + at,
+                     collector.tps_series().MeanInTrailingWindow(t_f + dt,
+                                                                 kStep),
+                     0);
+    result.AddText("node_a" + at, describe(old_rw));
+    result.AddText("node_b" + at, describe(old_ro));
+    result.AddText("phase" + at,
+                   obs::kCompiled
+                       ? PhaseFromJournal(t_f + dt)
+                       : PhaseFromModel(dt, rig.cluster->config().recovery));
   }
   manager.StopAll();
   rig.env.RunFor(sim::Seconds(2));
 
-  std::printf("\nnew RW is the promoted node: %s\n",
-              rig.cluster->rw() == old_ro ? "yes" : "no");
-  std::printf("remote buffer pool stayed warm: %lld pages resident\n",
-              static_cast<long long>(
-                  rig.cluster->remote_buffer()->resident_pages()));
+  result.AddText("promoted", rig.cluster->rw() == old_ro ? "yes" : "no");
+  result.AddMetric(
+      "remote_resident_pages",
+      static_cast<double>(rig.cluster->remote_buffer()->resident_pages()), 0);
+  result.sim_seconds = rig.env.Now().ToSeconds();
+  return result;
+}
 
-  ExportTimelineCell(timeline_dir, "fig7_cdb4");
+void Run(const BenchArgs& args) {
+  runner::CellSpec spec;
+  spec.sut = sut::SutKind::kCdb4;
+  spec.n_ro = 1;
+  spec.concurrency = 150;
+  spec.seed = args.seed;
+  spec.warmup = sim::Seconds(5);
+  spec.measure = sim::Seconds(kHorizon);
+  runner::CellResult r =
+      runner::MatrixRunner(args.runner).Run({spec}, RunTimelineCell)[0];
+  CB_CHECK(r.ok) << "fig7 cell failed: " << r.error;
+
+  std::printf("=== Figure 7: CDB4 fail-over timeline (failure at t=0) ===\n\n");
+  std::printf("%-8s %-6s %-28s %-28s %s\n", "t(s)", "TPS", "node A (old RW)",
+              "node B (old RO)", "phase");
+  for (double dt = 0.0; dt <= kHorizon; dt += kStep) {
+    std::string at = "@" + F1(dt);
+    std::printf("%-8s %-6.0f %-28s %-28s %s\n", F1(dt).c_str(),
+                r.Number("tps" + at), r.Text("node_a" + at).c_str(),
+                r.Text("node_b" + at).c_str(), r.Text("phase" + at).c_str());
+  }
+  std::printf("\nnew RW is the promoted node: %s\n", r.Text("promoted").c_str());
+  std::printf("remote buffer pool stayed warm: %s pages resident\n",
+              r.Text("remote_resident_pages").c_str());
 }
 
 }  // namespace
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string timeline_dir = "timelines";
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--timeline-dir=", &timeline_dir,
-        "timeline artifact directory (empty disables; default timelines)"}});
-  cloudybench::bench::Run(args, timeline_dir);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

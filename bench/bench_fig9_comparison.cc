@@ -8,18 +8,14 @@
 // >2 vCore drop between slots), while SysBench and TPC-C produce nearly
 // flat curves (<= 1 vCore of movement).
 //
-// Ported to the experiment-matrix runner: each benchmark series is one
-// cell. `--full` extends the paper's CDB3-only figure to every serverless
-// SUT (CDB1/CDB2/CDB3 x 3 benchmarks = 9 independent cells), which is
-// where --jobs buys near-linear wall-clock speedup.
+// Each benchmark series is one cell. `--full` extends the paper's
+// CDB3-only figure to every serverless SUT (9 cells).
 
 #include <algorithm>
 #include <cstdio>
 
 #include "bench_common.h"
 #include "core/baselines.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
@@ -80,7 +76,7 @@ runner::CellResult RunSeries(const runner::CellContext& ctx) {
   return result;
 }
 
-void Run(const BenchArgs& args, const std::string& jsonl_path) {
+void Run(const BenchArgs& args) {
   std::vector<sut::SutKind> suts = {sut::SutKind::kCdb3};
   if (args.full) {
     suts = {sut::SutKind::kCdb1, sut::SutKind::kCdb2, sut::SutKind::kCdb3};
@@ -104,11 +100,8 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(cells, RunSeries);
+      runner::MatrixRunner(args.runner).Run(cells, RunSeries);
 
   sim::SimTime slot = sim::Seconds(60 * kTimeScale);
   std::printf(
@@ -148,11 +141,6 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"}});
-  cloudybench::bench::Run(args, jsonl_path);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

@@ -15,40 +15,71 @@
 namespace cloudybench::bench {
 namespace {
 
-void Run(const BenchArgs& args, const std::string& timeline_dir) {
-  struct Mix {
-    const char* name;
-    int i, u, d;
-  };
+struct Mix {
+  const char* name;
+  int i, u, d;
+};
+
+runner::CellResult RunLagCell(const runner::CellContext& ctx, const Mix& mix) {
+  const runner::CellSpec& spec = ctx.spec;
+  runner::CellDeployment rig(spec, sales::Schemas());
+  LagTimeEvaluator::Options options;
+  options.concurrency = spec.concurrency;
+  options.warmup = spec.warmup;
+  options.measure = spec.measure;
+  options.insert_pct = mix.i;
+  options.update_pct = mix.u;
+  options.delete_pct = mix.d;
+  options.seed = spec.seed;
+  LagTimeResult r =
+      LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
+  runner::CellResult result;
+  result.AddMetric("insert_lag_ms", r.insert_lag_ms, 2);
+  result.AddMetric("update_lag_ms", r.update_lag_ms, 2);
+  result.AddMetric("delete_lag_ms", r.delete_lag_ms, 2);
+  result.AddMetric("c_score", r.c_score, 2);
+  result.sim_seconds = rig.env.Now().ToSeconds();
+  return result;
+}
+
+void Run(const BenchArgs& args) {
   std::vector<Mix> mixes = {{"I60/U30/D10", 60, 30, 10},
                             {"I100", 100, 0, 0},
                             {"U100", 0, 100, 0},
                             {"D100", 0, 0, 100}};
+  std::vector<sut::SutKind> suts = sut::AllSuts();
+
+  // Matrix order: SUT (outer) -> mix (inner).
+  std::vector<runner::CellSpec> cells;
+  for (sut::SutKind kind : suts) {
+    for (const Mix& mix : mixes) {
+      runner::CellSpec spec;
+      spec.sut = kind;
+      spec.n_ro = 1;
+      spec.concurrency = 20;
+      spec.pattern = mix.name;
+      spec.seed = args.seed;
+      spec.warmup = sim::Seconds(2);
+      spec.measure = args.full ? sim::Seconds(8) : sim::Seconds(5);
+      cells.push_back(spec);
+    }
+  }
+  std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
+      .Run(cells, [&mixes](const runner::CellContext& ctx) {
+        return RunLagCell(ctx, mixes[ctx.index % mixes.size()]);
+      });
 
   std::printf("=== Lag time between RW and RO (ms), by IUD mix ===\n\n");
   util::TablePrinter table({"System", "Mix", "InsertLag", "UpdateLag",
                             "DeleteLag", "C-Score"});
-  for (sut::SutKind kind : sut::AllSuts()) {
+  size_t idx = 0;
+  for (sut::SutKind kind : suts) {
     for (const Mix& mix : mixes) {
-      // One timeline cell per (SUT, mix): journal (replay backlog
-      // high-water marks) plus sampled repl.backlog / lag gauges.
-      BeginTimelineCell(timeline_dir);
-      SutRig rig(kind, /*sf=*/1, /*n_ro=*/1, sales::Schemas());
-      LagTimeEvaluator::Options options;
-      options.concurrency = 20;
-      options.warmup = sim::Seconds(2);
-      options.measure = args.full ? sim::Seconds(8) : sim::Seconds(5);
-      options.insert_pct = mix.i;
-      options.update_pct = mix.u;
-      options.delete_pct = mix.d;
-      LagTimeResult result =
-          LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
-      table.AddRow({sut::SutName(kind), mix.name, F2(result.insert_lag_ms),
-                    F2(result.update_lag_ms), F2(result.delete_lag_ms),
-                    F2(result.c_score)});
-      ExportTimelineCell(
-          timeline_dir, TimelineCellName(std::string("lagtime_") +
-                                         sut::SutName(kind) + "_" + mix.name));
+      const runner::CellResult& r = results[idx++];
+      table.AddRow({sut::SutName(kind), mix.name,
+                    r.ok ? r.Text("insert_lag_ms") : "ERR",
+                    r.Text("update_lag_ms"), r.Text("delete_lag_ms"),
+                    r.Text("c_score")});
     }
     table.AddSeparator();
   }
@@ -59,12 +90,6 @@ void Run(const BenchArgs& args, const std::string& timeline_dir) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string timeline_dir = "timelines";
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--timeline-dir=", &timeline_dir,
-        "timeline artifact directory (empty disables; default timelines)"}});
-  cloudybench::bench::Run(args, timeline_dir);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

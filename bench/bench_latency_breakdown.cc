@@ -10,15 +10,14 @@
 // within 5% — the trace decomposition explains the whole latency, not a
 // sample of it.
 //
-// Extra flag: --trace=PATH writes the last cell's Chrome trace (load it at
-// ui.perfetto.dev).
+// --trace-template=T writes each SUT's measured-window Chrome trace (load
+// it at ui.perfetto.dev).
 
 #include <cmath>
 #include <cstdio>
 
 #include "bench_common.h"
 #include "obs/breakdown.h"
-#include "obs/exporters.h"
 #include "obs/metric_registry.h"
 #include "obs/trace.h"
 
@@ -39,91 +38,124 @@ void DrainWorkers(sim::Environment* env, WorkloadManager* manager) {
   CB_CHECK_EQ(manager->concurrency(), 0) << "workers failed to drain";
 }
 
-void Run(const BenchArgs& args, const std::string& trace_path) {
-  const int64_t sf = 10;
-  const int con = 100;
+runner::CellResult RunBreakdownCell(const runner::CellContext& ctx) {
+  const runner::CellSpec& spec = ctx.spec;
   // All four sales transactions, T3-heavy like the read-write preset but
   // with a T4 share so the deletion path shows up in the table.
   SalesWorkloadConfig cfg;
   cfg.ratios = {15, 5, 70, 10};
-  cfg.seed = args.seed;
+  cfg.seed = spec.seed;
+  SalesTransactionSet txns(cfg);
+  runner::CellDeployment rig(spec, txns.Schemas());
+  sim::Environment& env = rig.env;
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
+
+  // Warmup with tracing off (even when a trace template armed the
+  // recorder), and let the warmup workers drain so no half-traced
+  // transaction straddles the measurement boundary.
+  recorder.SetEnabled(false);
+  {
+    PerformanceCollector warm_collector(&env);
+    warm_collector.Start();
+    WorkloadManager warm(&env, rig.cluster.get(), &txns, &warm_collector);
+    warm.SetConcurrency(spec.concurrency);
+    env.RunFor(spec.warmup);
+    DrainWorkers(&env, &warm);
+  }
+
+  // Measure with tracing on and a fresh collector: trace and histogram
+  // cover exactly the same transactions.
+  recorder.Clear();
+  recorder.SetEnabled(true);
+  PerformanceCollector collector(&env);
+  collector.Start();
+  collector.RegisterWith(&obs::MetricRegistry::Get(), "breakdown.");
+  WorkloadManager manager(&env, rig.cluster.get(), &txns, &collector);
+  manager.SetConcurrency(spec.concurrency);
+  env.RunFor(spec.measure);
+  DrainWorkers(&env, &manager);
+  recorder.SetEnabled(false);
+
+  obs::LatencyBreakdown breakdown = obs::LatencyBreakdown::FromTrace(recorder);
+  runner::CellResult result;
+  const std::vector<obs::LatencyBreakdown::Row>& rows = breakdown.rows();
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const obs::LatencyBreakdown::Row& row = rows[i];
+    TxnType type = static_cast<TxnType>(row.label);
+    double n = static_cast<double>(row.txns);
+    auto layer = [&](obs::Layer l) {
+      return row.layer_ms[static_cast<int>(l)] / n;
+    };
+    double total = row.total_ms / n;
+    double e2e = collector.latency(type).mean() / 1000.0;  // us -> ms
+    double delta_pct = e2e > 0 ? (total - e2e) / e2e * 100.0 : 0.0;
+    CB_CHECK_EQ(row.txns, collector.commits_of(type))
+        << sut::SutName(spec.sut) << " " << TxnTypeName(type)
+        << ": trace and collector disagree on commit count";
+    CB_CHECK(std::fabs(delta_pct) < kMaxDeltaPct)
+        << sut::SutName(spec.sut) << " " << TxnTypeName(type)
+        << ": breakdown total " << total << "ms vs collector " << e2e << "ms";
+
+    std::string p = "r" + std::to_string(i) + ".";
+    result.AddText(p + "txn", TxnTypeName(type));
+    result.AddMetric(p + "commits", n, 0);
+    result.AddMetric(p + "lock_ms", layer(obs::Layer::kLock), 2);
+    result.AddMetric(p + "cpu_ms", layer(obs::Layer::kCpu), 2);
+    result.AddMetric(p + "buffer_ms", layer(obs::Layer::kBuffer), 2);
+    result.AddMetric(p + "log_ms", layer(obs::Layer::kLog), 2);
+    result.AddMetric(p + "net_ms", layer(obs::Layer::kNet), 2);
+    // txn/op/commit exclusive time is bookkeeping between the interesting
+    // layers; fold it into one column.
+    result.AddMetric(p + "other_ms",
+                     layer(obs::Layer::kTxn) + layer(obs::Layer::kOp) +
+                         layer(obs::Layer::kCommit),
+                     2);
+    result.AddMetric(p + "total_ms", total, 2);
+    result.AddMetric(p + "e2e_ms", e2e, 2);
+    result.AddMetric(p + "delta_pct", delta_pct, 2);
+  }
+  result.AddMetric("rows", static_cast<double>(rows.size()), 0);
+  result.sim_seconds = env.Now().ToSeconds();
+  return result;
+}
+
+void Run(const BenchArgs& args) {
+  std::vector<sut::SutKind> suts = sut::AllSuts();
+  std::vector<runner::CellSpec> cells;
+  for (sut::SutKind kind : suts) {
+    runner::CellSpec spec;
+    spec.sut = kind;
+    spec.scale_factor = 10;
+    spec.n_ro = 1;
+    spec.concurrency = 100;
+    spec.pattern = "T1-T4";
+    spec.seed = args.seed;
+    spec.measure = args.full ? sim::Seconds(3) : sim::Seconds(2);
+    cells.push_back(spec);
+  }
+  std::vector<runner::CellResult> results =
+      runner::MatrixRunner(args.runner).Run(cells, RunBreakdownCell);
 
   std::printf("=== Per-layer latency breakdown (SF%lld, con=%d) ===\n",
-              static_cast<long long>(sf), con);
+              static_cast<long long>(cells[0].scale_factor),
+              cells[0].concurrency);
   std::printf("exclusive ms/txn per layer; E2E = collector mean; "
               "|delta| must be < %.0f%%\n", kMaxDeltaPct);
-
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  for (sut::SutKind kind : sut::AllSuts()) {
-    SalesTransactionSet txns(cfg);
-    SutRig rig(kind, sf, /*n_ro=*/1, txns.Schemas());
-    sim::Environment& env = rig.env;
-
-    // Warmup with tracing off, and let the warmup workers drain so no
-    // half-traced transaction straddles the measurement boundary.
-    {
-      PerformanceCollector warm_collector(&env);
-      warm_collector.Start();
-      WorkloadManager warm(&env, rig.cluster.get(), &txns, &warm_collector);
-      warm.SetConcurrency(con);
-      env.RunFor(sim::Seconds(1));
-      DrainWorkers(&env, &warm);
-    }
-
-    // Measure with tracing on and a fresh collector: trace and histogram
-    // cover exactly the same transactions.
-    recorder.SetEnabled(true);
-    recorder.Clear();
-    PerformanceCollector collector(&env);
-    collector.Start();
-    collector.RegisterWith(&obs::MetricRegistry::Get(), "breakdown.");
-    WorkloadManager manager(&env, rig.cluster.get(), &txns, &collector);
-    manager.SetConcurrency(con);
-    env.RunFor(args.full ? sim::Seconds(3) : sim::Seconds(2));
-    DrainWorkers(&env, &manager);
-    recorder.SetEnabled(false);
-
-    obs::LatencyBreakdown breakdown = obs::LatencyBreakdown::FromTrace(recorder);
-
+  for (size_t s = 0; s < suts.size(); ++s) {
+    const runner::CellResult& r = results[s];
+    CB_CHECK(r.ok) << sut::SutName(suts[s]) << ": " << r.error;
     util::TablePrinter table({"Txn", "Commits", "Lock", "CPU", "Buffer",
                               "Log", "Net", "Other", "Total", "E2E", "Delta%"});
-    for (const obs::LatencyBreakdown::Row& row : breakdown.rows()) {
-      TxnType type = static_cast<TxnType>(row.label);
-      double n = static_cast<double>(row.txns);
-      auto layer = [&](obs::Layer l) {
-        return row.layer_ms[static_cast<int>(l)] / n;
-      };
-      // txn/op/commit exclusive time is bookkeeping between the interesting
-      // layers; fold it into one column.
-      double other = layer(obs::Layer::kTxn) + layer(obs::Layer::kOp) +
-                     layer(obs::Layer::kCommit);
-      double total = row.total_ms / n;
-      double e2e = collector.latency(type).mean() / 1000.0;  // us -> ms
-      double delta_pct =
-          e2e > 0 ? (total - e2e) / e2e * 100.0 : 0.0;
-      table.AddRow({TxnTypeName(type), F0(n), F2(layer(obs::Layer::kLock)),
-                    F2(layer(obs::Layer::kCpu)),
-                    F2(layer(obs::Layer::kBuffer)),
-                    F2(layer(obs::Layer::kLog)), F2(layer(obs::Layer::kNet)),
-                    F2(other), F2(total), F2(e2e), F2(delta_pct)});
-      CB_CHECK_EQ(row.txns, collector.commits_of(type))
-          << sut::SutName(kind) << " " << TxnTypeName(type)
-          << ": trace and collector disagree on commit count";
-      CB_CHECK(std::fabs(delta_pct) < kMaxDeltaPct)
-          << sut::SutName(kind) << " " << TxnTypeName(type)
-          << ": breakdown total " << total << "ms vs collector " << e2e
-          << "ms";
+    for (int i = 0; i < static_cast<int>(r.Number("rows")); ++i) {
+      std::vector<std::string> row;
+      for (const char* column :
+           {"txn", "commits", "lock_ms", "cpu_ms", "buffer_ms", "log_ms",
+            "net_ms", "other_ms", "total_ms", "e2e_ms", "delta_pct"}) {
+        row.push_back(r.Text("r" + std::to_string(i) + "." + column));
+      }
+      table.AddRow(row);
     }
-    table.Print("\n--- " + std::string(sut::SutName(kind)) + " ---");
-
-    if (!trace_path.empty()) {
-      util::Status s = obs::WriteChromeTraceFile(recorder, trace_path);
-      CB_CHECK(s.ok()) << s;
-      std::printf("wrote %zu spans to %s\n", recorder.span_count(),
-                  trace_path.c_str());
-    }
-    obs::MetricRegistry::Get().UnregisterPrefix("breakdown.");
-    recorder.Clear();
+    table.Print("\n--- " + std::string(sut::SutName(suts[s])) + " ---");
   }
   std::printf("\nall breakdown totals within %.0f%% of collector E2E "
               "latencies\n", kMaxDeltaPct);
@@ -133,12 +165,6 @@ void Run(const BenchArgs& args, const std::string& trace_path) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string trace_path;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--trace=", &trace_path,
-        "write the last cell's Chrome trace to this path"}});
-  cloudybench::bench::Run(args, trace_path);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

@@ -3,23 +3,16 @@
 //
 // This is the binary scripts/check.sh uses to prove the runner's core
 // contract end to end: stdout is byte-identical at --jobs=1 and --jobs=N
-// for the same matrix and seed. It also demonstrates the artifact plumbing
-// (--jsonl= row dump, --trace-template= per-cell Chrome traces,
-// --metrics-template= per-cell metric snapshots,
-// --timeline-csv-template= / --timeline-jsonl-template= per-cell
-// timeline artifacts, --profile-collapsed-template= /
-// --profile-chrome-template= per-cell merged-stack profiles).
+// for the same matrix and seed, and for every per-cell artifact.
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
 
-void Run(const BenchArgs& args, const runner::RunnerOptions& options) {
+void Run(const BenchArgs& args) {
   std::vector<int64_t> sfs = args.full ? std::vector<int64_t>{1, 10, 100}
                                        : std::vector<int64_t>{1, 10};
   std::vector<std::string> modes =
@@ -46,7 +39,7 @@ void Run(const BenchArgs& args, const runner::RunnerOptions& options) {
   }
 
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(cells, runner::RunOltpCell);
+      runner::MatrixRunner(args.runner).Run(cells, runner::RunOltpCell);
 
   std::printf("=== Matrix-runner demo: OLTP cells (1 RW + 1 RO node) ===\n\n");
   util::TablePrinter table({"Cell", "TPS", "p50/ms", "p99/ms", "$/min",
@@ -67,35 +60,6 @@ void Run(const BenchArgs& args, const runner::RunnerOptions& options) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path, trace_template, metrics_template;
-  std::string timeline_csv_template, timeline_jsonl_template;
-  std::string profile_collapsed_template, profile_chrome_template;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"},
-       {"--trace-template=", &trace_template,
-        "per-cell Chrome trace path; {id}/{index}/{sut}/{sf}/{con}/"
-        "{pattern}/{seed} expand"},
-       {"--metrics-template=", &metrics_template,
-        "per-cell metrics snapshot path (same placeholders)"},
-       {"--timeline-csv-template=", &timeline_csv_template,
-        "per-cell timeline CSV path (same placeholders)"},
-       {"--timeline-jsonl-template=", &timeline_jsonl_template,
-        "per-cell timeline JSONL path (same placeholders)"},
-       {"--profile-collapsed-template=", &profile_collapsed_template,
-        "per-cell collapsed-stack profile path (same placeholders)"},
-       {"--profile-chrome-template=", &profile_chrome_template,
-        "per-cell merged-tree Chrome trace path (same placeholders)"}});
-  cloudybench::runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
-  options.trace_template = trace_template;
-  options.metrics_template = metrics_template;
-  options.timeline_csv_template = timeline_csv_template;
-  options.timeline_jsonl_template = timeline_jsonl_template;
-  options.profile_collapsed_template = profile_collapsed_template;
-  options.profile_chrome_template = profile_chrome_template;
-  cloudybench::bench::Run(args, options);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

@@ -21,8 +21,6 @@
 #include "fault/injector.h"
 #include "load/arrival.h"
 #include "load/open_loop.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
@@ -101,8 +99,7 @@ runner::CellResult RunSaturationCell(const runner::CellContext& ctx,
   return result;
 }
 
-void Run(const char* argv0, const BenchArgs& args,
-         const std::string& jsonl_path, const std::string& arrivals,
+void Run(const char* argv0, const BenchArgs& args, const std::string& arrivals,
          const std::string& faults_text, bool smoke) {
   // The offered-load ladder, or one "custom" rung from --arrivals=.
   // --smoke keeps a two-SUT × two-rung subset for CI determinism diffs
@@ -159,11 +156,8 @@ void Run(const char* argv0, const BenchArgs& args,
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(
+      runner::MatrixRunner(args.runner).Run(
           cells, [&rungs, &fault_plan](const runner::CellContext& ctx) {
             return RunSaturationCell(ctx, rungs[ctx.index % rungs.size()],
                                      fault_plan);
@@ -199,19 +193,15 @@ void Run(const char* argv0, const BenchArgs& args,
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
   std::string arrivals;
   std::string faults;
   std::string smoke;
   cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
       argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"},
-       {"--arrivals=", &arrivals,
+      {{"--arrivals=", &arrivals,
         "custom arrival plan (replaces the offered-load ladder)"},
        {"--faults=", &faults, "fault plan to arm under the open loop"},
        {"--smoke", &smoke, "two-SUT subset for CI determinism checks"}});
-  cloudybench::bench::Run(argv[0], args, jsonl_path, arrivals, faults,
-                          !smoke.empty());
+  cloudybench::bench::Run(argv[0], args, arrivals, faults, !smoke.empty());
   return 0;
 }

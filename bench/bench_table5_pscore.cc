@@ -6,21 +6,15 @@
 // CDB4 delivers the top TPS but pays the 3x RDMA network premium; CDB2's
 // IOPS bill dwarfs everyone's (~327x RDS); CDB1's six-way replication
 // doubles its storage cost; CDB2 has the lowest P-Score.
-//
-// Ported to the experiment-matrix runner: the SUT x mode matrix runs on
-// --jobs workers; each cell already reports the mean allocated resources
-// and cost components this table prints.
 
 #include <cstdio>
 
 #include "bench_common.h"
-#include "runner/oltp_cell.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
 
-void Run(const BenchArgs& args, const std::string& jsonl_path) {
+void Run(const BenchArgs& args) {
   // SF1: the regime where RDS's local storage pays off across all three
   // patterns, which is the paper's headline for this table. (The paper's
   // storage-GB column corresponds to SF100; scale factors only change the
@@ -49,11 +43,8 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
     }
   }
 
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(cells, runner::RunOltpCell);
+      runner::MatrixRunner(args.runner).Run(cells, runner::RunOltpCell);
 
   std::printf(
       "=== Table V: P-Score with detailed resource cost (SF%lld, con=%d) "
@@ -90,11 +81,6 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"}});
-  cloudybench::bench::Run(args, jsonl_path);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

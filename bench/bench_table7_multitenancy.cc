@@ -17,76 +17,104 @@ namespace cloudybench::bench {
 namespace {
 
 constexpr double kTimeScale = 0.1;
+constexpr int kTenants = 3;
+constexpr int kSlots = 3;
+
+runner::CellResult RunTenancyCell(const runner::CellContext& ctx,
+                                  TenancyPattern pattern) {
+  const runner::CellSpec& spec = ctx.spec;
+  sim::Environment env;
+  MultiTenantDeployment deployment(&env, spec.sut, kTenants,
+                                   spec.scale_factor, spec.time_scale);
+  MultiTenancyEvaluator::Options options;
+  options.slots = kSlots;
+  options.slot = sim::Seconds(60 * kTimeScale);
+  options.tau = spec.concurrency;
+  TenancyResult r =
+      MultiTenancyEvaluator::Run(&env, &deployment, pattern, options);
+
+  cloud::ResourceVector res = deployment.TotalResources();
+  runner::CellResult result;
+  result.AddMetric("tps", r.total_tps, 0);
+  result.AddMetric("t_score", r.t_score, 0);
+  result.AddText("resources", F0(res.vcores) + "vC " + F0(res.memory_gb) +
+                                  "GB " + F0(res.storage_gb) + "GBsto " +
+                                  F0(res.iops) + "iops " +
+                                  F0(res.tcp_gbps + res.rdma_gbps) + "Gbps");
+  result.AddMetric("cost_per_min", r.cost_per_minute.total(), 4);
+  // Cost-efficiency per unit of work: dollars the deployment bills over the
+  // measured window and thousands of committed transactions, which the
+  // row fold pools across the four patterns into one $/kTxn number.
+  result.AddMetric("dollars", r.cost_per_minute.total() * r.window_s / 60.0,
+                   6);
+  result.AddMetric("ktxn", static_cast<double>(r.total_commits) / 1000.0, 3);
+  result.sim_seconds = env.Now().ToSeconds();
+  return result;
+}
 
 void Run(const BenchArgs& args) {
-  int tenants = 3;
-  sim::SimTime slot = sim::Seconds(60 * kTimeScale);
-  int tau_high = 330;  // max saturation concurrency across SUTs (paper)
-  int tau_low = 100;   // min, for the low patterns
+  std::vector<sut::SutKind> suts = sut::AllSuts();
+  std::vector<TenancyPattern> patterns = AllTenancyPatterns();
 
-  std::printf("=== Table VII: multi-tenancy (3 tenants, %d slots of %.0fs) ===\n\n",
-              3, slot.ToSeconds());
+  // Matrix order: SUT (outer) -> pattern (inner).
+  std::vector<runner::CellSpec> cells;
+  for (sut::SutKind kind : suts) {
+    for (TenancyPattern pattern : patterns) {
+      bool high = pattern == TenancyPattern::kHighContention ||
+                  pattern == TenancyPattern::kStaggeredHigh;
+      runner::CellSpec spec;
+      spec.sut = kind;
+      // tau: the max saturation concurrency across SUTs (paper) for the
+      // high patterns, the min for the low ones.
+      spec.concurrency = high ? 330 : 100;
+      spec.pattern = TenancyPatternName(pattern);
+      spec.seed = args.seed;
+      spec.time_scale = kTimeScale;
+      cells.push_back(spec);
+    }
+  }
+  std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
+      .Run(cells, [&patterns](const runner::CellContext& ctx) {
+        return RunTenancyCell(ctx, patterns[ctx.index % patterns.size()]);
+      });
+
+  std::printf(
+      "=== Table VII: multi-tenancy (3 tenants, %d slots of %.0fs) ===\n\n",
+      kSlots, 60 * kTimeScale);
   util::TablePrinter table({"System", "Model", "TPS(a)", "TPS(b)", "TPS(c)",
                             "TPS(d)", "Resources", "$/min", "T(a)", "T(b)",
                             "T(c)", "T(d)", "T(AVG)", "$/kTxn"});
-  for (sut::SutKind kind : sut::AllSuts()) {
-    std::vector<double> tps_by_pattern;
-    std::vector<double> tscore_by_pattern;
-    std::string resources;
-    double cost = 0;
-    double dollars_all_patterns = 0;
-    double ktxn_all_patterns = 0;
-    for (TenancyPattern pattern : AllTenancyPatterns()) {
-      bool high = pattern == TenancyPattern::kHighContention ||
-                  pattern == TenancyPattern::kStaggeredHigh;
-      sim::Environment env;
-      MultiTenantDeployment deployment(&env, kind, tenants, /*sf=*/1, kTimeScale);
-      MultiTenancyEvaluator::Options options;
-      options.slots = 3;
-      options.slot = slot;
-      options.tau = high ? tau_high : tau_low;
-      TenancyResult result =
-          MultiTenancyEvaluator::Run(&env, &deployment, pattern, options);
-      tps_by_pattern.push_back(result.total_tps);
-      tscore_by_pattern.push_back(result.t_score);
-      cloud::ResourceVector r = deployment.TotalResources();
-      resources = F0(r.vcores) + "vC " + F0(r.memory_gb) + "GB " +
-                  F0(r.storage_gb) + "GBsto " + F0(r.iops) + "iops " +
-                  F0(r.tcp_gbps + r.rdma_gbps) + "Gbps";
-      cost = result.cost_per_minute.total();
-      // Cost-efficiency per unit of work: dollars the deployment bills over
-      // the measured window, per thousand committed transactions, pooled
-      // across the four patterns so one number summarizes the row.
-      dollars_all_patterns +=
-          result.cost_per_minute.total() * result.window_s / 60.0;
-      ktxn_all_patterns += static_cast<double>(result.total_commits) / 1000.0;
+  for (size_t s = 0; s < suts.size(); ++s) {
+    std::vector<std::string> tps, tscore;
+    double t_sum = 0, dollars = 0, ktxn = 0;
+    for (size_t p = 0; p < patterns.size(); ++p) {
+      const runner::CellResult& r = results[s * patterns.size() + p];
+      tps.push_back(r.ok ? r.Text("tps") : "ERR");
+      tscore.push_back(r.Text("t_score"));
+      t_sum += r.Number("t_score");
+      dollars += r.Number("dollars");
+      ktxn += r.Number("ktxn");
     }
-    double t_avg = (tscore_by_pattern[0] + tscore_by_pattern[1] +
-                    tscore_by_pattern[2] + tscore_by_pattern[3]) /
-                   4.0;
-    double dollars_per_ktxn =
-        ktxn_all_patterns > 0 ? dollars_all_patterns / ktxn_all_patterns : 0;
-    table.AddRow({sut::SutName(kind),
-                  TenancyModelName(TenancyModelFor(kind)),
-                  F0(tps_by_pattern[0]), F0(tps_by_pattern[1]),
-                  F0(tps_by_pattern[2]), F0(tps_by_pattern[3]), resources,
-                  Dollars(cost), F0(tscore_by_pattern[0]),
-                  F0(tscore_by_pattern[1]), F0(tscore_by_pattern[2]),
-                  F0(tscore_by_pattern[3]), F0(t_avg),
+    // Resources and $/min come from the last pattern's cell.
+    const runner::CellResult& last = results[(s + 1) * patterns.size() - 1];
+    double dollars_per_ktxn = ktxn > 0 ? dollars / ktxn : 0;
+    table.AddRow({sut::SutName(suts[s]),
+                  TenancyModelName(TenancyModelFor(suts[s])), tps[0], tps[1],
+                  tps[2], tps[3], last.Text("resources"),
+                  "$" + last.Text("cost_per_min"), tscore[0], tscore[1],
+                  tscore[2], tscore[3], F0(t_sum / 4.0),
                   // 6 decimals: a kTxn costs fractions of a tenth of a cent
-                  // here, so the shared Dollars() 4-decimal format would
-                  // print $0.0000 for every efficient deployment.
+                  // here, so the shared 4-decimal format would print
+                  // $0.0000 for every efficient deployment.
                   "$" + util::FormatDouble(dollars_per_ktxn, 6)});
   }
   table.Print();
-  (void)args;
 }
 
 }  // namespace
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
   cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

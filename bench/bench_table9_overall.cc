@@ -8,9 +8,8 @@
 // and, thanks to its cheap startup pricing, the best O-Score* under actual
 // cost — the defined-vs-actual rank flips are the point of the comparison.
 //
-// Ported to the experiment-matrix runner: each SUT's full PERFECT
-// evaluation (seven sections, ~a dozen sub-simulations) is one cell, so
-// the five SUTs evaluate concurrently under --jobs.
+// Each SUT's full PERFECT evaluation (seven sections, ~a dozen
+// sub-simulations) is one cell.
 
 #include <algorithm>
 #include <cstdio>
@@ -18,7 +17,6 @@
 #include "bench_common.h"
 #include "core/metrics.h"
 #include "core/tenancy.h"
-#include "runner/runner.h"
 
 namespace cloudybench::bench {
 namespace {
@@ -35,20 +33,30 @@ cloud::CostBreakdown ActualPerMinute(cloud::Cluster* cluster, double t0,
                               window.network * k};
 }
 
+/// The cell's spec with `n_ro` replicas: every sub-simulation deploys the
+/// cell's SUT at its scale factor through one CellDeployment of this.
+runner::CellSpec WithReplicas(const runner::CellSpec& cell, int n_ro) {
+  runner::CellSpec spec = cell;
+  spec.n_ro = n_ro;
+  return spec;
+}
+
 struct Row {
   metrics::Perfect scores;
   double p_star = 0, e1_star = 0, t_star = 0, o_star = 0;
+  /// Sum of the sub-simulations' clocks.
+  double sim_seconds = 0;
 };
 
-Row Evaluate(sut::SutKind kind, uint64_t seed) {
+Row Evaluate(const runner::CellSpec& cell) {
   Row row;
 
   // ---- P / P*: read-write throughput per cost -------------------------
   {
     SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-    cfg.seed = seed;
+    cfg.seed = cell.seed;
     SalesTransactionSet txns(cfg);
-    SutRig rig(kind, /*sf=*/1, /*n_ro=*/0, txns.Schemas());
+    runner::CellDeployment rig(WithReplicas(cell, 0), txns.Schemas());
     OltpEvaluator::Options options;
     options.concurrency = 150;
     options.warmup = sim::Seconds(1);
@@ -59,28 +67,30 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
     row.p_star = metrics::PScore(
         r.mean_tps, ActualPerMinute(rig.cluster.get(), r.window_start_s,
                                     r.window_end_s));
+    row.sim_seconds += rig.env.Now().ToSeconds();
   }
 
   // ---- E1 / E1*: elasticity (large-spike pattern, serverless) ---------
   {
     SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-    cfg.seed = seed;
+    cfg.seed = cell.seed;
     SalesTransactionSet txns(cfg);
-    cloud::ClusterConfig cluster_cfg = sut::MakeProfile(kind, kTimeScale);
-    MakeServerless(&cluster_cfg);
-    sim::Environment env;
-    cloud::Cluster cluster(&env, cluster_cfg, 0);
-    cluster.Load(txns.Schemas(), 1);
-    cluster.PrewarmBuffers();
+    runner::CellSpec spec = WithReplicas(cell, 0);
+    spec.serverless = true;
+    spec.freeze_at_max = false;
+    spec.time_scale = kTimeScale;
+    runner::CellDeployment rig(spec, txns.Schemas());
     ElasticityEvaluator::Options options;
     options.tau = 110;
     options.slot = sim::Seconds(60 * kTimeScale);
     ElasticityResult r = ElasticityEvaluator::Run(
-        &env, &cluster, &txns, ElasticityPattern::kLargeSpike, options);
+        &rig.env, rig.cluster.get(), &txns, ElasticityPattern::kLargeSpike,
+        options);
     row.scores.e1 = r.e1_score;
     row.e1_star = metrics::E1Score(
-        r.mean_tps, ActualPerMinute(&cluster, r.window_start_s,
+        r.mean_tps, ActualPerMinute(rig.cluster.get(), r.window_start_s,
                                     r.window_end_s));
+    row.sim_seconds += rig.env.Now().ToSeconds();
   }
 
   // ---- E2: scale-out gain per added RO node ---------------------------
@@ -88,10 +98,10 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
     std::vector<double> tps_by_nodes;
     for (int nodes = 0; nodes <= 1; ++nodes) {
       SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadOnly();
-      cfg.seed = seed;
+      cfg.seed = cell.seed;
       cfg.spread_reads_all_nodes = true;  // proxy-balanced reads
       SalesTransactionSet txns(cfg);
-      SutRig rig(kind, /*sf=*/1, nodes, txns.Schemas());
+      runner::CellDeployment rig(WithReplicas(cell, nodes), txns.Schemas());
       OltpEvaluator::Options options;
       options.concurrency = 150;
       options.warmup = sim::Seconds(1);
@@ -99,6 +109,7 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
       tps_by_nodes.push_back(
           OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options)
               .mean_tps);
+      row.sim_seconds += rig.env.Now().ToSeconds();
     }
     // Normalized like the paper's small integers: gain per node per 1000.
     row.scores.e2 = metrics::E2Score(tps_by_nodes) / 1000.0;
@@ -112,11 +123,11 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
       // failure, replica-pinned read stream for the RO failure.
       SalesWorkloadConfig cfg = fail_rw ? SalesWorkloadConfig::ReadWrite()
                                         : SalesWorkloadConfig::ReadOnly();
-      cfg.seed = seed;
+      cfg.seed = cell.seed;
       cfg.route_reads_to_replicas = !fail_rw;
       cfg.sticky_replica = !fail_rw;
       SalesTransactionSet txns(cfg);
-      SutRig rig(kind, /*sf=*/1, /*n_ro=*/1, txns.Schemas());
+      runner::CellDeployment rig(WithReplicas(cell, 1), txns.Schemas());
       FailoverEvaluator::Options options;
       options.concurrency = 150;
       options.warmup = sim::Seconds(4);
@@ -129,6 +140,7 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
         f_parts.push_back(r.f_seconds);
         r_parts.push_back(r.r_seconds);
       }
+      row.sim_seconds += rig.env.Now().ToSeconds();
     }
     row.scores.f = metrics::FScore(f_parts);
     row.scores.r = metrics::RScore(r_parts);
@@ -136,12 +148,14 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
 
   // ---- C: replication lag (3 replicas, as Eq. 6's lambda divisor) ------
   {
-    SutRig rig(kind, /*sf=*/1, /*n_ro=*/3, sales::Schemas());
+    runner::CellDeployment rig(WithReplicas(cell, 3), sales::Schemas());
     LagTimeEvaluator::Options options;
     options.concurrency = 20;
     options.measure = sim::Seconds(5);
+    options.seed = cell.seed;
     row.scores.c =
         LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options).c_score;
+    row.sim_seconds += rig.env.Now().ToSeconds();
   }
 
   // ---- T / T*: multi-tenancy (average over the four patterns) ----------
@@ -152,7 +166,8 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
       bool high = pattern == TenancyPattern::kHighContention ||
                   pattern == TenancyPattern::kStaggeredHigh;
       sim::Environment env;
-      MultiTenantDeployment deployment(&env, kind, 3, /*sf=*/1, kTimeScale);
+      MultiTenantDeployment deployment(&env, cell.sut, 3, cell.scale_factor,
+                                       kTimeScale);
       MultiTenancyEvaluator::Options options;
       options.slots = 3;
       options.slot = sim::Seconds(60 * kTimeScale);
@@ -176,6 +191,7 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
           pricing.CostFor(deployment.TotalResources(), billed_s);
       double actual_per_minute = actual.total() * 60.0 / window_s;
       t_star_sum += metrics::TScore(r.tenant_tps, actual_per_minute);
+      row.sim_seconds += env.Now().ToSeconds();
     }
     row.scores.t = t_sum / static_cast<double>(patterns.size());
     row.t_star = t_star_sum / static_cast<double>(patterns.size());
@@ -189,7 +205,7 @@ Row Evaluate(sut::SutKind kind, uint64_t seed) {
 }
 
 runner::CellResult EvaluateCell(const runner::CellContext& ctx) {
-  Row row = Evaluate(ctx.spec.sut, ctx.spec.seed);
+  Row row = Evaluate(ctx.spec);
   runner::CellResult result;
   result.AddMetric("P", row.scores.p, 0);
   result.AddMetric("P*", row.p_star, 0);
@@ -203,10 +219,11 @@ runner::CellResult EvaluateCell(const runner::CellContext& ctx) {
   result.AddMetric("T*", row.t_star, 0);
   result.AddMetric("O", row.scores.o, 2);
   result.AddMetric("O*", row.o_star, 2);
+  result.sim_seconds = row.sim_seconds;
   return result;
 }
 
-void Run(const BenchArgs& args, const std::string& jsonl_path) {
+void Run(const BenchArgs& args) {
   std::vector<sut::SutKind> suts = sut::AllSuts();
   std::vector<runner::CellSpec> cells;
   for (sut::SutKind kind : suts) {
@@ -216,12 +233,8 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
     spec.seed = args.seed;
     cells.push_back(spec);
   }
-
-  runner::RunnerOptions options;
-  options.jobs = args.jobs;
-  options.jsonl_path = jsonl_path;
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run(cells, EvaluateCell);
+      runner::MatrixRunner(args.runner).Run(cells, EvaluateCell);
 
   std::printf(
       "=== Table IX: overall PERFECT scores; (X)* uses vendor actual "
@@ -251,11 +264,6 @@ void Run(const BenchArgs& args, const std::string& jsonl_path) {
 }  // namespace cloudybench::bench
 
 int main(int argc, char** argv) {
-  cloudybench::util::SetLogLevel(cloudybench::util::LogLevel::kWarning);
-  std::string jsonl_path;
-  cloudybench::bench::BenchArgs args = cloudybench::bench::BenchArgs::Parse(
-      argc, argv,
-      {{"--jsonl=", &jsonl_path, "write per-cell result rows (JSONL)"}});
-  cloudybench::bench::Run(args, jsonl_path);
+  cloudybench::bench::Run(cloudybench::bench::BenchArgs::Parse(argc, argv));
   return 0;
 }

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Full pre-merge check: build + ctest in Release, then again with
-# AddressSanitizer and ThreadSanitizer (-DCLOUDYBENCH_SANITIZE=...), plus
-# matrix-runner determinism smokes: bench_runner_demo, the fault matrix,
-# the open-loop saturation bench and the chaos sweep must produce
-# byte-identical stdout (and JSONL / timeline CSV / profile artifacts) at
+# Full pre-merge check: build (warnings are errors) + ctest in Release,
+# then again with AddressSanitizer and ThreadSanitizer
+# (-DCLOUDYBENCH_SANITIZE=...), plus the matrix-runner determinism smokes:
+# bench_runner_demo, the fault matrix, the open-loop saturation bench, the
+# tenant-sharded cell and the chaos sweep must produce byte-identical
+# stdout (and JSONL / timeline CSV / profile / verdict artifacts) at
 # --jobs=1 and --jobs=2. The chaos sweep doubles as a correctness gate:
 # it exits non-zero when any end-to-end oracle fails, and the ASan suite
 # reruns a bounded sweep with instrumentation armed.
@@ -33,92 +34,51 @@ run_suite() {
   ctest --test-dir "${dir}" --output-on-failure -j "${JOBS}"
 }
 
-# Runs the demo sweep serially and on two workers and diffs stdout; any
-# byte of divergence (ordering, rounding, wall-time leakage) fails the
-# check. The runner's [runner] accounting line goes to stderr by design.
-runner_smoke() {
-  local dir="build-check/release"
-  echo "=== [runner] determinism smoke (--jobs=1 vs --jobs=2) ==="
-  cmake --build "${dir}" -j "${JOBS}" --target bench_runner_demo
-  "${dir}/bench/bench_runner_demo" --jobs=1 > "${dir}/runner_demo_j1.txt"
-  "${dir}/bench/bench_runner_demo" --jobs=2 > "${dir}/runner_demo_j2.txt"
-  diff "${dir}/runner_demo_j1.txt" "${dir}/runner_demo_j2.txt"
-  echo "=== [runner] output byte-identical across job counts ==="
-}
+# Matrix-runner determinism smokes: each row runs one bench twice and the
+# two runs must agree byte for byte — stdout, the --jsonl= rows and every
+# per-cell artifact. Any divergence (ordering, rounding, wall-clock or
+# cross-cell state leaking into results) fails the check. The runner's
+# [runner] accounting line goes to stderr by design and is not compared.
+#
+# Row: label | bench | args of both runs | args of run 1 | args of run 2.
+# @OUT@ expands to the run's own directory, which is diffed whole. The
+# rows cover DESIGN.md §4d (runner), §4e (timeline), §4j (profile), §4g
+# (fault), §4h (load), §4k (tenant shards: --cell-shards=1 vs 2, serially
+# and on two workers) and §4l (chaos, with the per-oracle verdict rows; the
+# sweep exits non-zero when an oracle fails, so that row is also a
+# correctness gate).
+DETERMINISM_ROWS=(
+  "runner|bench_runner_demo||--jobs=1|--jobs=2"
+  "timeline|bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
+  "profile|bench_runner_demo|--profile-collapsed-template=@OUT@/{id}.collapsed.txt --profile-chrome-template=@OUT@/{id}.trace.json|--jobs=1|--jobs=2"
+  "fault|bench_fault_matrix|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "load|bench_saturation|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "cell_shards|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--cell-shards=1 --jobs=1|--cell-shards=2 --jobs=1"
+  "cell_jobs|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--cell-shards=1 --jobs=1|--cell-shards=2 --jobs=2"
+  "chaos|bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
+)
 
-# Same contract for the per-cell timeline artifacts: every cell's timeline
-# CSV must be byte-identical no matter which worker thread it ran on.
-timeline_smoke() {
+determinism_smoke() {
   local dir="build-check/release"
-  echo "=== [timeline] determinism smoke (--jobs=1 vs --jobs=2) ==="
-  rm -rf "${dir}/tl_j1" "${dir}/tl_j2"
-  "${dir}/bench/bench_runner_demo" --jobs=1 \
-    --timeline-csv-template="${dir}/tl_j1/{id}.timeline.csv" > /dev/null
-  "${dir}/bench/bench_runner_demo" --jobs=2 \
-    --timeline-csv-template="${dir}/tl_j2/{id}.timeline.csv" > /dev/null
-  diff -r "${dir}/tl_j1" "${dir}/tl_j2"
-  echo "=== [timeline] artifacts byte-identical across job counts ==="
-}
-
-# Same contract for the fault/availability matrix (DESIGN.md §4g): the
-# two-scenario --smoke subset must produce byte-identical stdout and JSONL
-# rows at --jobs=1 and --jobs=2 — degradation probes, fault schedules and
-# breaker transitions all live on the per-cell deterministic event queues,
-# so any divergence means a fault hook leaked cross-cell or wall-clock
-# state. (~40 s per run on one core.)
-fault_smoke() {
-  local dir="build-check/release"
-  echo "=== [fault] determinism smoke (--smoke, --jobs=1 vs --jobs=2) ==="
-  cmake --build "${dir}" -j "${JOBS}" --target bench_fault_matrix
-  "${dir}/bench/bench_fault_matrix" --smoke --jobs=1 \
-    --jsonl="${dir}/fault_j1.jsonl" > "${dir}/fault_j1.txt"
-  "${dir}/bench/bench_fault_matrix" --smoke --jobs=2 \
-    --jsonl="${dir}/fault_j2.jsonl" > "${dir}/fault_j2.txt"
-  diff "${dir}/fault_j1.txt" "${dir}/fault_j2.txt"
-  diff "${dir}/fault_j1.jsonl" "${dir}/fault_j2.jsonl"
-  echo "=== [fault] output + artifacts byte-identical across job counts ==="
-}
-
-# Same contract for the open-loop saturation bench (DESIGN.md §4h): the
-# two-SUT x two-rung --smoke subset must produce byte-identical stdout and
-# JSONL at --jobs=1 and --jobs=2 — arrival schedules, session RNG streams
-# and the driver's admit/park/retire machinery all derive from the cell
-# seed, so divergence means wall-clock or cross-cell state leaked into the
-# open loop.
-load_smoke() {
-  local dir="build-check/release"
-  echo "=== [load] determinism smoke (--smoke, --jobs=1 vs --jobs=2) ==="
-  cmake --build "${dir}" -j "${JOBS}" --target bench_saturation
-  "${dir}/bench/bench_saturation" --smoke --jobs=1 \
-    --jsonl="${dir}/load_j1.jsonl" > "${dir}/load_j1.txt"
-  "${dir}/bench/bench_saturation" --smoke --jobs=2 \
-    --jsonl="${dir}/load_j2.jsonl" > "${dir}/load_j2.txt"
-  diff "${dir}/load_j1.txt" "${dir}/load_j2.txt"
-  diff "${dir}/load_j1.jsonl" "${dir}/load_j2.jsonl"
-  echo "=== [load] output + artifacts byte-identical across job counts ==="
-}
-
-# The chaos sweep (DESIGN.md §4l) is both a determinism smoke and a
-# correctness gate: 25 seeded fault plans across all five SUTs run with
-# every end-to-end oracle armed (durability, conservation, convergence,
-# breaker, timeline). stdout, the per-cell JSONL and the per-oracle
-# verdict JSONL must be byte-identical at --jobs=1 and --jobs=2, and the
-# bench exits non-zero when any oracle fails — a failing plan is shrunk to
-# a minimal repro line right in the output.
-chaos_smoke() {
-  local dir="build-check/release"
-  echo "=== [chaos] oracle sweep + determinism smoke (--smoke, --jobs=1 vs --jobs=2) ==="
-  cmake --build "${dir}" -j "${JOBS}" --target bench_chaos_sweep
-  "${dir}/bench/bench_chaos_sweep" --smoke --jobs=1 \
-    --jsonl="${dir}/chaos_j1.jsonl" --verdicts="${dir}/chaos_v1.jsonl" \
-    > "${dir}/chaos_j1.txt"
-  "${dir}/bench/bench_chaos_sweep" --smoke --jobs=2 \
-    --jsonl="${dir}/chaos_j2.jsonl" --verdicts="${dir}/chaos_v2.jsonl" \
-    > "${dir}/chaos_j2.txt"
-  diff "${dir}/chaos_j1.txt" "${dir}/chaos_j2.txt"
-  diff "${dir}/chaos_j1.jsonl" "${dir}/chaos_j2.jsonl"
-  diff "${dir}/chaos_v1.jsonl" "${dir}/chaos_v2.jsonl"
-  echo "=== [chaos] all oracles passed; output + artifacts byte-identical across job counts ==="
+  local row label bench shared run1 run2 run args out
+  for row in "${DETERMINISM_ROWS[@]}"; do
+    IFS='|' read -r label bench shared run1 run2 <<< "${row}"
+    echo "=== [${label}] determinism smoke (${run1} vs ${run2}) ==="
+    cmake --build "${dir}" -j "${JOBS}" --target "${bench}"
+    for run in 1 2; do
+      out="${dir}/determinism/${label}/${run}"
+      rm -rf "${out}"
+      mkdir -p "${out}"
+      args="${run1}"
+      if [[ "${run}" == 2 ]]; then args="${run2}"; fi
+      # Both argument lists are word-split on purpose.
+      # shellcheck disable=SC2086
+      "${dir}/bench/${bench}" ${shared//@OUT@/${out}} ${args} \
+        > "${out}/stdout.txt"
+    done
+    diff -r "${dir}/determinism/${label}/1" "${dir}/determinism/${label}/2"
+    echo "=== [${label}] stdout + artifacts byte-identical ==="
+  done
 }
 
 # Bounded chaos sweep under the active sanitizer: 8 fuzzed plans exercise
@@ -131,47 +91,6 @@ sanitizer_chaos_smoke() {
   cmake --build "${dir}" -j "${JOBS}" --target bench_chaos_sweep
   "${dir}/bench/bench_chaos_sweep" --plans=8 --jobs=2 > /dev/null
   echo "=== [${name}] sanitized chaos sweep clean ==="
-}
-
-# Same contract for the per-cell profiler artifacts (DESIGN.md §4j): the
-# collapsed-stack and Chrome-trace profiles are pure functions of the
-# cell's deterministic span trace, so every byte must match between
-# --jobs=1 and --jobs=2 regardless of which worker thread ran the cell.
-profile_smoke() {
-  local dir="build-check/release"
-  echo "=== [profile] determinism smoke (--jobs=1 vs --jobs=2) ==="
-  rm -rf "${dir}/prof_j1" "${dir}/prof_j2"
-  "${dir}/bench/bench_runner_demo" --jobs=1 \
-    --profile-collapsed-template="${dir}/prof_j1/{id}.collapsed.txt" \
-    --profile-chrome-template="${dir}/prof_j1/{id}.trace.json" > /dev/null
-  "${dir}/bench/bench_runner_demo" --jobs=2 \
-    --profile-collapsed-template="${dir}/prof_j2/{id}.collapsed.txt" \
-    --profile-chrome-template="${dir}/prof_j2/{id}.trace.json" > /dev/null
-  diff -r "${dir}/prof_j1" "${dir}/prof_j2"
-  echo "=== [profile] artifacts byte-identical across job counts ==="
-}
-
-# Same contract for the tenant-sharded cell runner (DESIGN.md §4k): the
-# --smoke ladder must produce byte-identical stdout and JSONL whatever the
-# shard count (tenant partitions own disjoint RNG streams and merge in
-# tenant order) and whatever the matrix worker count. --cell-shards is an
-# execution knob only; a single divergent byte means shard state leaked
-# into results.
-cell_scaling_smoke() {
-  local dir="build-check/release"
-  echo "=== [cell-scaling] determinism smoke (--cell-shards=1 vs 2, --jobs=1 vs 2) ==="
-  cmake --build "${dir}" -j "${JOBS}" --target bench_cell_scaling
-  "${dir}/bench/bench_cell_scaling" --smoke --cell-shards=1 --jobs=1 \
-    --jsonl="${dir}/cells_s1.jsonl" > "${dir}/cells_s1.txt" 2> /dev/null
-  "${dir}/bench/bench_cell_scaling" --smoke --cell-shards=2 --jobs=1 \
-    --jsonl="${dir}/cells_s2.jsonl" > "${dir}/cells_s2.txt" 2> /dev/null
-  "${dir}/bench/bench_cell_scaling" --smoke --cell-shards=2 --jobs=2 \
-    --jsonl="${dir}/cells_s2j2.jsonl" > "${dir}/cells_s2j2.txt" 2> /dev/null
-  diff "${dir}/cells_s1.txt" "${dir}/cells_s2.txt"
-  diff "${dir}/cells_s1.jsonl" "${dir}/cells_s2.jsonl"
-  diff "${dir}/cells_s1.txt" "${dir}/cells_s2j2.txt"
-  diff "${dir}/cells_s1.jsonl" "${dir}/cells_s2j2.jsonl"
-  echo "=== [cell-scaling] output + artifacts byte-identical across shard and job counts ==="
 }
 
 # GATING perf check: runs the DES/storage micro benches against the
@@ -336,28 +255,16 @@ PY
 
 case "${MODE}" in
   all)
-    run_suite release
-    runner_smoke
-    timeline_smoke
-    profile_smoke
-    fault_smoke
-    load_smoke
-    cell_scaling_smoke
-    chaos_smoke
+    run_suite release -DCLOUDYBENCH_WERROR=ON
+    determinism_smoke
     perf_gate
     run_suite asan -DCLOUDYBENCH_SANITIZE=address
     sanitizer_chaos_smoke asan
     run_suite tsan -DCLOUDYBENCH_SANITIZE=thread
     ;;
   --release-only)
-    run_suite release
-    runner_smoke
-    timeline_smoke
-    profile_smoke
-    fault_smoke
-    load_smoke
-    cell_scaling_smoke
-    chaos_smoke
+    run_suite release -DCLOUDYBENCH_WERROR=ON
+    determinism_smoke
     perf_gate
     ;;
   --perf-only)

@@ -126,6 +126,7 @@ LagTimeResult LagTimeEvaluator::Run(sim::Environment* env,
       << "lag evaluation needs at least one RO replica";
   SalesWorkloadConfig cfg = SalesWorkloadConfig::IudMix(
       options.insert_pct, options.update_pct, options.delete_pct);
+  cfg.seed = options.seed;
   SalesTransactionSet txns(cfg);
 
   // Pre-fill the deletion queue so delete-heavy mixes measure deletions of

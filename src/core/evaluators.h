@@ -117,6 +117,8 @@ class LagTimeEvaluator {
     int insert_pct = 60;
     int update_pct = 30;
     int delete_pct = 10;
+    /// Seed of the IUD workload the evaluator drives.
+    uint64_t seed = 42;
   };
 
   static LagTimeResult Run(sim::Environment* env, cloud::Cluster* cluster,

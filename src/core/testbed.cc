@@ -125,10 +125,7 @@ util::Status Testbed::RunElasticity(ReportWriter* report) {
   double time_scale = props_.GetDouble("time_scale", 0.1);
   sim::Environment env;
   cloud::ClusterConfig config = sut::MakeProfile(kind, time_scale);
-  if (config.autoscaler.policy != cloud::ScalingPolicy::kFixed) {
-    config.node.memory_follows_vcores = true;
-    config.node.vcores = config.autoscaler.min_vcores;
-  }
+  sut::EnableServerless(&config);
   cloud::Cluster cluster(&env, config, 0);
   SalesTransactionSet txns(WorkloadFromProps(props_));
   cluster.Load(txns.Schemas(), props_.GetInt("scale_factor", 1));
@@ -247,6 +244,7 @@ util::Status Testbed::RunLag(ReportWriter* report) {
   options.insert_pct = static_cast<int>(props_.GetInt("lag.insert", 60));
   options.update_pct = static_cast<int>(props_.GetInt("lag.update", 30));
   options.delete_pct = static_cast<int>(props_.GetInt("lag.delete", 10));
+  options.seed = static_cast<uint64_t>(props_.GetInt("seed", 42));
   LagTimeResult r = LagTimeEvaluator::Run(&env, &cluster, options);
   std::printf("[lag]        insert %.2fms  update %.2fms  delete %.2fms  "
               "C-Score %.2f\n",

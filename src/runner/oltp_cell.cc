@@ -6,29 +6,21 @@
 
 namespace cloudybench::runner {
 
-namespace {
-
-/// Serverless conversion shared with the benches' MakeServerless: keep the
-/// profiled autoscaler policy, start at the floor, let memory follow
-/// vCores. Fixed-policy SUTs (RDS, CDB4) stay provisioned — exactly the
-/// contrast the elasticity experiments evaluate.
-void ConvertToServerless(cloud::ClusterConfig* cfg) {
-  if (cfg->autoscaler.policy != cloud::ScalingPolicy::kFixed) {
-    cfg->node.memory_follows_vcores = true;
-    cfg->node.vcores = cfg->autoscaler.min_vcores;
-    cfg->node.memory_gb =
-        cfg->autoscaler.min_vcores * cfg->node.memory_gb_per_vcore;
-  }
+cloud::ClusterConfig ClusterConfigFor(const CellSpec& spec) {
+  cloud::ClusterConfig cfg = sut::MakeProfile(spec.sut, spec.time_scale);
+  if (spec.serverless) sut::EnableServerless(&cfg);
+  if (spec.freeze_at_max) sut::FreezeAtMaxCapacity(&cfg);
+  return cfg;
 }
 
-}  // namespace
+CellDeployment::CellDeployment(
+    const CellSpec& spec, const std::vector<storage::TableSchema>& schemas)
+    : CellDeployment(spec, ClusterConfigFor(spec), schemas) {}
 
 CellDeployment::CellDeployment(
-    const CellSpec& spec, const std::vector<storage::TableSchema>& schemas) {
-  cloud::ClusterConfig cfg = sut::MakeProfile(spec.sut, spec.time_scale);
-  if (spec.serverless) ConvertToServerless(&cfg);
-  if (spec.freeze_at_max) sut::FreezeAtMaxCapacity(&cfg);
-  cluster = std::make_unique<cloud::Cluster>(&env, cfg, spec.n_ro);
+    const CellSpec& spec, const cloud::ClusterConfig& config,
+    const std::vector<storage::TableSchema>& schemas) {
+  cluster = std::make_unique<cloud::Cluster>(&env, config, spec.n_ro);
   cluster->Load(schemas, spec.scale_factor);
   cluster->PrewarmBuffers();
   sampler.Start();

@@ -13,13 +13,20 @@
 
 namespace cloudybench::runner {
 
-/// One deployed SUT built from a CellSpec: fresh environment + profiled,
-/// loaded, prewarmed cluster. This is the cell-side twin of the benches'
-/// SutRig, owned by the runner so ported drivers stop duplicating it:
-/// profile → (optional) serverless conversion → (optional) freeze at max →
-/// load schemas at the spec's scale factor → prewarm buffers.
+/// The cluster configuration a CellSpec describes: the SUT profile at the
+/// spec's time scale → (optional) serverless conversion → (optional) freeze
+/// at max. Cells that vary the configuration itself (the ablations) start
+/// from this and deploy through CellDeployment's config constructor.
+cloud::ClusterConfig ClusterConfigFor(const CellSpec& spec);
+
+/// One deployed SUT built from a CellSpec: fresh environment + loaded,
+/// prewarmed cluster. Every single-cluster experiment deploys through it:
+/// ClusterConfigFor(spec) (or a caller-tweaked config) → load schemas at
+/// the spec's scale factor with spec.n_ro replicas → prewarm buffers.
 struct CellDeployment {
   CellDeployment(const CellSpec& spec,
+                 const std::vector<storage::TableSchema>& schemas);
+  CellDeployment(const CellSpec& spec, const cloud::ClusterConfig& config,
                  const std::vector<storage::TableSchema>& schemas);
 
   sim::Environment env;

@@ -414,4 +414,12 @@ void FreezeAtMaxCapacity(cloud::ClusterConfig* config) {
   config->node.memory_follows_vcores = false;
 }
 
+void EnableServerless(cloud::ClusterConfig* config) {
+  if (config->autoscaler.policy == ScalingPolicy::kFixed) return;
+  config->node.memory_follows_vcores = true;
+  config->node.vcores = config->autoscaler.min_vcores;
+  config->node.memory_gb =
+      config->autoscaler.min_vcores * config->node.memory_gb_per_vcore;
+}
+
 }  // namespace cloudybench::sut

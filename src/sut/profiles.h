@@ -37,6 +37,12 @@ cloud::ClusterConfig MakeProfile(SutKind kind, double time_scale = 1.0);
 /// variability is not under test).
 void FreezeAtMaxCapacity(cloud::ClusterConfig* config);
 
+/// Serverless conversion for elasticity runs: keeps the profiled autoscaler
+/// policy, starts the node at the policy's vCore floor and lets memory (and
+/// with it the buffer) follow vCores. Fixed-policy SUTs (RDS, CDB4) stay
+/// provisioned — exactly the contrast the elasticity experiments evaluate.
+void EnableServerless(cloud::ClusterConfig* config);
+
 /// True if the SUT has a serverless/autoscaling offering (Table IV).
 bool IsServerless(SutKind kind);
 

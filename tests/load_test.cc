@@ -132,7 +132,9 @@ TEST(ArrivalGeneratorTest, ScheduleIsDeterministicAndBatchSizeInvariant) {
     EXPECT_EQ(small[i].seq, i);
     EXPECT_GE(small[i].t_us, 0);
     EXPECT_LT(small[i].t_us, 5'000'000);
-    if (i > 0) EXPECT_GE(small[i].t_us, small[i - 1].t_us);
+    if (i > 0) {
+      EXPECT_GE(small[i].t_us, small[i - 1].t_us);
+    }
   }
   // A different seed moves the stochastic streams.
   std::vector<Arrival> other = Generate(*plan, 43, sim::Seconds(5), 7);

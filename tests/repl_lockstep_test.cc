@@ -354,7 +354,9 @@ void RunLockstep(ReplayConfig config, uint64_t seed, bool with_stalls) {
     std::optional<Row> a = got->Get(key);
     std::optional<Row> b = want->Get(key);
     ASSERT_EQ(a.has_value(), b.has_value()) << "key " << key;
-    if (a.has_value()) EXPECT_DOUBLE_EQ(a->amount, b->amount) << key;
+    if (a.has_value()) {
+      EXPECT_DOUBLE_EQ(a->amount, b->amount) << key;
+    }
   }
 }
 
@@ -454,8 +456,8 @@ TEST(ReplZeroAllocTest, WalPendingBufferRecyclesChunks) {
   storage::LogManager log(&env, &disk);
 
   struct Flusher {
-    static sim::Process Drain(sim::Environment* env, storage::LogManager* log,
-                              int rounds, int per_round) {
+    static sim::Process Drain(storage::LogManager* log, int rounds,
+                              int per_round) {
       for (int r = 0; r < rounds; ++r) {
         storage::LogRecord rec;
         rec.type = storage::LogRecordType::kUpdate;
@@ -469,14 +471,14 @@ TEST(ReplZeroAllocTest, WalPendingBufferRecyclesChunks) {
 
   // Warmup: cross several chunk boundaries so the free list reaches its
   // high-water mark.
-  env.Spawn(Flusher::Drain(&env, &log, /*rounds=*/4, /*per_round=*/6000));
+  env.Spawn(Flusher::Drain(&log,/*rounds=*/4, /*per_round=*/6000));
   env.RunUntil(sim::Seconds(5));
   int64_t allocs_after_warmup = log.chunk_allocs();
   EXPECT_GT(allocs_after_warmup, 0);
 
   // Steady state: 20x more records through the same flush cadence reuse
   // recycled chunks only.
-  env.Spawn(Flusher::Drain(&env, &log, /*rounds=*/80, /*per_round=*/6000));
+  env.Spawn(Flusher::Drain(&log,/*rounds=*/80, /*per_round=*/6000));
   env.RunUntil(sim::Seconds(60));
   EXPECT_EQ(log.chunk_allocs(), allocs_after_warmup)
       << "WAL pending buffer allocated in steady state";
