@@ -6,10 +6,8 @@
 // built from these operations, so scripts/perf_baseline.sh records them in
 // BENCH_core.json as the repo's tracked perf trajectory.
 
-#include <deque>
 #include <functional>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -502,10 +500,9 @@ void BM_ReplShipReplay(benchmark::State& state) {
   // staged by Ship(span), cross the link via the persistent ship/deliver
   // loops, and are fully applied by the lanes before the next iteration.
   // Steady state runs entirely out of the pipeline's flat rings — zero
-  // heap allocations (tests/repl_lockstep_test.cc asserts it); the gate
-  // requires this to beat BM_ReplShipReplayPerRecord (the pre-§4k
-  // per-record-coroutine oracle, same run) by gate.repl_batching_min_
-  // speedup.
+  // heap allocations (tests/repl_lockstep_test.cc asserts it, and pins
+  // equivalence against the pre-§4k per-record replayer); its
+  // BENCH_core.json tolerance band pins the speed.
   ReplRig rig;
   repl::Replayer replayer(&rig.env, &rig.tables, &rig.link, &rig.cpu,
                           ReplBenchConfig());
@@ -527,199 +524,6 @@ void BM_ReplShipReplay(benchmark::State& state) {
   state.SetItemsProcessed(records);
 }
 BENCHMARK(BM_ReplShipReplay);
-
-/// Faithful transcription of the pre-§4k per-record replication pipeline —
-/// one spawned coroutine per shipped record, std::set pending-LSN window,
-/// deque lane queues, per-record span scopes and backlog-HWM checks, all as
-/// the old Replayer had them. tests/repl_lockstep_test.cc keeps the same
-/// code as the timing oracle; this copy exists so the speedup claim is
-/// measured against the real old code path in the same run, on the same
-/// machine.
-class LegacyPerRecordReplayer {
- public:
-  LegacyPerRecordReplayer(sim::Environment* env, storage::TableSet* tables,
-                          net::Link* link, sim::SlotResource* cpu,
-                          repl::ReplayConfig config)
-      : env_(env), tables_(tables), link_(link), cpu_(cpu), config_(config) {
-    lanes_ = config_.mode == repl::ReplayMode::kParallel
-                 ? config_.parallel_lanes
-                 : 1;
-    lane_queues_.resize(static_cast<size_t>(lanes_));
-    lane_waiters_.assign(static_cast<size_t>(lanes_), nullptr);
-    lane_tracks_.assign(static_cast<size_t>(lanes_), 0);
-    for (int i = 0; i < lanes_; ++i) env_->Spawn(LaneLoop(i));
-  }
-
-  void Ship(const storage::LogRecord& record) {
-    last_shipped_lsn_ = record.lsn;
-    if (record.type == storage::LogRecordType::kCommit) return;
-    pending_lsns_.insert(record.lsn);
-    if (backlog() >= backlog_hwm_next_) {
-      obs::EmitEvent(env_, scope_, "replay.backlog_hwm", "",
-                     static_cast<double>(backlog()));
-      while (backlog_hwm_next_ <= backlog()) backlog_hwm_next_ *= 2;
-    }
-    env_->Spawn(ShipOne(record));
-  }
-
-  int64_t backlog() const { return static_cast<int64_t>(pending_lsns_.size()); }
-
-  int64_t applied_lsn() const {
-    if (pending_lsns_.empty()) return last_shipped_lsn_;
-    return *pending_lsns_.begin() - 1;
-  }
-
- private:
-  int LaneFor(const storage::LogRecord& record) const {
-    if (lanes_ == 1) return 0;
-    uint64_t h = static_cast<uint64_t>(record.key) * 0x9e3779b97f4a7c15ULL ^
-                 static_cast<uint64_t>(record.table);
-    return static_cast<int>(h % static_cast<uint64_t>(lanes_));
-  }
-
-  uint64_t LaneTrack(int lane) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-    if (!recorder.enabled()) return 0;
-    if (trace_epoch_ != recorder.epoch()) {
-      lane_tracks_.assign(lane_tracks_.size(), 0);
-      trace_epoch_ = recorder.epoch();
-    }
-    uint64_t& track = lane_tracks_[static_cast<size_t>(lane)];
-    if (track == 0) {
-      track = recorder.NewTrack();
-      recorder.SetTrackName(track, "replay/lane" + std::to_string(lane));
-    }
-    return track;
-  }
-
-  sim::Process ShipOne(storage::LogRecord record) {
-    if (config_.ship_interval.us > 0) {
-      int64_t interval = config_.ship_interval.us;
-      int64_t now = env_->Now().us;
-      int64_t next_boundary = (now / interval + 1) * interval;
-      co_await env_->Delay(sim::SimTime{next_boundary - now});
-    }
-    co_await link_->Transfer(record.size_bytes());
-    if (config_.extra_hop_latency.us > 0) {
-      co_await env_->Delay(config_.extra_hop_latency);
-    }
-    int lane = LaneFor(record);
-    lane_queues_[static_cast<size_t>(lane)].push_back(std::move(record));
-    if (lane_waiters_[static_cast<size_t>(lane)] != nullptr) {
-      lane_waiters_[static_cast<size_t>(lane)]->Complete(0);
-    }
-  }
-
-  sim::Process LaneLoop(int lane) {
-    auto& queue = lane_queues_[static_cast<size_t>(lane)];
-    for (;;) {
-      while (stalled_) {
-        sim::Waiter gate(env_);
-        stall_waiters_.push_back(&gate);
-        co_await gate;
-      }
-      if (queue.empty()) {
-        sim::Waiter waiter(env_);
-        lane_waiters_[static_cast<size_t>(lane)] = &waiter;
-        co_await waiter;
-        lane_waiters_[static_cast<size_t>(lane)] = nullptr;
-        continue;
-      }
-      storage::LogRecord record = std::move(queue.front());
-      queue.pop_front();
-      {
-        obs::SpanScope apply_span(env_, LaneTrack(lane), obs::Layer::kReplay,
-                                  "replay.apply");
-        co_await cpu_->Consume(config_.apply_cost);
-        ApplyToTables(record);
-      }
-      RecordLag(record);
-      pending_lsns_.erase(record.lsn);
-      ++records_applied_;
-    }
-  }
-
-  void ApplyToTables(const storage::LogRecord& record) {
-    storage::SyntheticTable* table = tables_->FindById(record.table);
-    CB_CHECK(table != nullptr);
-    switch (record.type) {
-      case storage::LogRecordType::kInsert:
-        CB_CHECK(table->Insert(record.after).ok());
-        break;
-      case storage::LogRecordType::kUpdate:
-        CB_CHECK(table->Update(record.after).ok());
-        break;
-      case storage::LogRecordType::kDelete:
-        CB_CHECK(table->Delete(record.key).ok());
-        break;
-      case storage::LogRecordType::kCommit:
-        break;
-    }
-  }
-
-  void RecordLag(const storage::LogRecord& record) {
-    double lag_ms = (env_->Now() - record.commit_time).ToMillis();
-    switch (record.type) {
-      case storage::LogRecordType::kInsert:
-        insert_lag_.Add(lag_ms);
-        break;
-      case storage::LogRecordType::kUpdate:
-        update_lag_.Add(lag_ms);
-        break;
-      case storage::LogRecordType::kDelete:
-        delete_lag_.Add(lag_ms);
-        break;
-      case storage::LogRecordType::kCommit:
-        break;
-    }
-  }
-
-  sim::Environment* env_;
-  storage::TableSet* tables_;
-  net::Link* link_;
-  sim::SlotResource* cpu_;
-  repl::ReplayConfig config_;
-  int lanes_ = 1;
-  std::vector<std::deque<storage::LogRecord>> lane_queues_;
-  std::vector<sim::Waiter*> lane_waiters_;
-  bool stalled_ = false;
-  std::vector<sim::Waiter*> stall_waiters_;
-  std::set<int64_t> pending_lsns_;
-  int64_t last_shipped_lsn_ = 0;
-  int64_t records_applied_ = 0;
-  std::string scope_ = "repl";
-  int64_t backlog_hwm_next_ = 64;
-  util::RunningStat insert_lag_;
-  util::RunningStat update_lag_;
-  util::RunningStat delete_lag_;
-  std::vector<uint64_t> lane_tracks_;
-  uint64_t trace_epoch_ = 0;
-};
-
-void BM_ReplShipReplayPerRecord(benchmark::State& state) {
-  // The pre-change path: the same eight flush batches, but delivered
-  // through the old WAL's per-record std::function ship listener, and each
-  // record costs a boundary-delay coroutine, a Spawn, and two std::set
-  // node operations. Kept as the in-run denominator of the gate's
-  // repl_batching_min_speedup check.
-  ReplRig rig;
-  LegacyPerRecordReplayer replayer(&rig.env, &rig.tables, &rig.link,
-                                   &rig.cpu, ReplBenchConfig());
-  std::function<void(const storage::LogRecord&)> listener =
-      [&replayer](const storage::LogRecord& rec) { replayer.Ship(rec); };
-  int64_t lsn = 1;
-  int64_t records = 0;
-  for (auto _ : state) {
-    for (int b = 0; b < kShipBatchesPerInterval; ++b) {
-      rig.Stamp(&lsn);
-      for (const storage::LogRecord& rec : rig.batch) listener(rec);
-    }
-    rig.env.Run();
-    records += static_cast<int64_t>(rig.batch.size()) * kShipBatchesPerInterval;
-  }
-  state.SetItemsProcessed(records);
-}
-BENCHMARK(BM_ReplShipReplayPerRecord);
 
 // ---- Tenant-sharded cells (DESIGN.md §4k) ---------------------------------
 

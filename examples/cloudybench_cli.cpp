@@ -1,13 +1,13 @@
 // The CloudyBench testbed CLI: runs the evaluations selected in a props
 // configuration file (see examples/configs/demo.props and the key reference
-// in src/core/testbed.h).
+// in src/runner/testbed.h).
 //
 //   $ ./examples/cloudybench_cli examples/configs/demo.props
 //   $ ./examples/cloudybench_cli            # built-in demo configuration
 
 #include <cstdio>
 
-#include "core/testbed.h"
+#include "runner/testbed.h"
 #include "util/logging.h"
 #include "util/properties.h"
 
@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "config error: %s\n", parsed.ToString().c_str());
     return 1;
   }
-  Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props));
   util::Status status = testbed.RunAll();
   if (!status.ok()) {
     std::fprintf(stderr, "testbed error: %s\n", status.ToString().c_str());

@@ -17,24 +17,18 @@
 
 using namespace cloudybench;
 
-namespace {
-
-sut::SutKind ParseSut(const std::string& name) {
-  if (name == "rds") return sut::SutKind::kAwsRds;
-  if (name == "cdb1") return sut::SutKind::kCdb1;
-  if (name == "cdb2") return sut::SutKind::kCdb2;
-  if (name == "cdb3") return sut::SutKind::kCdb3;
-  if (name == "cdb4") return sut::SutKind::kCdb4;
-  std::fprintf(stderr, "unknown SUT '%s' (use rds|cdb1|cdb2|cdb3|cdb4)\n",
-               name.c_str());
-  std::exit(1);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   util::SetLogLevel(util::LogLevel::kWarning);
-  sut::SutKind kind = argc > 1 ? ParseSut(argv[1]) : sut::SutKind::kCdb4;
+  sut::SutKind kind = sut::SutKind::kCdb4;
+  if (argc > 1) {
+    util::Result<sut::SutKind> parsed = sut::ParseSut(argv[1]);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s (use rds|cdb1|cdb2|cdb3|cdb4)\n",
+                   parsed.status().message().c_str());
+      return 1;
+    }
+    kind = *parsed;
+  }
   int concurrency = 100;
   if (argc > 2) {
     int64_t v = 0;

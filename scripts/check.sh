@@ -217,29 +217,6 @@ if obs_ratio_max:
         print(f"[perf] obs overhead {on / off:.3f}x obs-off, within the "
               f"{obs_ratio_max:.2f}x budget")
 
-# Replication batching win (DESIGN.md §4k): the batched ship->replay
-# pipeline must stay at least gate.repl_batching_min_speedup times faster
-# than the pre-change per-record pipeline, both measured in this run on
-# the same rig — machine speed cancels, so the structural win itself is
-# what is gated, not an absolute number.
-repl_min_speedup = gate.get("repl_batching_min_speedup")
-if repl_min_speedup:
-    batched = ns_per_op.get("BM_ReplShipReplay")
-    per_record = ns_per_op.get("BM_ReplShipReplayPerRecord")
-    if batched is None or per_record is None or batched <= 0:
-        failures += 1
-        print("ERROR: [perf] repl batching gate needs both BM_ReplShipReplay "
-              "and BM_ReplShipReplayPerRecord in this run")
-    elif per_record < repl_min_speedup * batched:
-        failures += 1
-        print(f"FAIL: [perf] repl batching: batched ship->replay "
-              f"{batched:.0f} ns/op is only {per_record / batched:.2f}x "
-              f"faster than the per-record path ({per_record:.0f} ns/op), "
-              f"below the {repl_min_speedup:.1f}x floor")
-    else:
-        print(f"[perf] repl batching {per_record / batched:.2f}x faster "
-              f"than per-record, above the {repl_min_speedup:.1f}x floor")
-
 if failures:
     print(f"[perf] GATE FAILED: {failures} benchmark(s) out of band. "
           "If the regression is intentional, refresh BENCH_core.json via "

@@ -1,100 +1,47 @@
 #include "obs/breakdown.h"
 
-#include <algorithm>
 #include <map>
+
+#include "obs/profiler.h"
 
 namespace cloudybench::obs {
 
-namespace {
-
-struct TrackState {
-  // Spans of this track in recording order. Recording order on one track is
-  // pre-order DFS: a parent's Begin always precedes its children's.
-  std::vector<const Span*> spans;
-  const Span* root = nullptr;  // first kTxn span on the track
-};
-
-struct Frame {
-  const Span* span;
-  double child_us = 0;  // sim-time covered by direct children
-};
-
-}  // namespace
-
 LatencyBreakdown LatencyBreakdown::FromTrace(const TraceRecorder& recorder) {
-  // Bucket closed spans by track, preserving recording order.
-  std::map<uint64_t, TrackState> tracks;
-  for (const Span& span : recorder.spans()) {
-    if (span.end_us < 0) continue;  // still open; cannot be attributed
-    TrackState& state = tracks[span.track];
-    state.spans.push_back(&span);
-    if (state.root == nullptr && span.layer == Layer::kTxn) state.root = &span;
-  }
-
-  std::map<int32_t, Row> rows;
-  for (auto& [track, state] : tracks) {
-    const Span* root = state.root;
-    if (root == nullptr || !root->committed || root->label < 0) continue;
-
-    Row& row = rows[root->label];
-    row.label = root->label;
-    row.txns += 1;
-    row.total_ms += static_cast<double>(root->end_us - root->begin_us) / 1e3;
-
-    // Flame-graph pass: exclusive(s) = dur(s) - sum(direct children's dur).
-    // Spans on a track nest properly (the txn coroutine is sequential), so a
-    // stack over recording order recovers the parent/child structure. Equal
-    // begin/end times count as nesting (ties happen when an abort closes the
-    // root at the same sim time as an inner span).
-    std::vector<Frame> stack;
-    for (const Span* span : state.spans) {
-      while (!stack.empty() && stack.back().span->end_us <= span->begin_us &&
-             !(stack.back().span->end_us >= span->end_us &&
-               stack.back().span->begin_us <= span->begin_us)) {
-        Frame done = stack.back();
-        stack.pop_back();
-        double excl_us =
-            static_cast<double>(done.span->end_us - done.span->begin_us) -
-            done.child_us;
-        row.layer_ms[static_cast<int>(done.span->layer)] += excl_us / 1e3;
-        if (!stack.empty()) {
-          stack.back().child_us +=
-              static_cast<double>(done.span->end_us - done.span->begin_us);
-        }
+  // A per-label fold over the profiler's stack-recovery walk: each
+  // committed, labelled root's track charges its spans' exclusive time to
+  // the root label's row.
+  class RowFold : public SpanStackVisitor {
+   public:
+    bool OnTrack(const Span* root) override {
+      if (root == nullptr || !root->committed || root->label < 0) {
+        return false;
       }
-      stack.push_back(Frame{span, 0});
+      row_ = &rows[root->label];
+      row_->label = root->label;
+      row_->txns += 1;
+      row_->total_ms +=
+          static_cast<double>(root->end_us - root->begin_us) / 1e3;
+      return true;
     }
-    while (!stack.empty()) {
-      Frame done = stack.back();
-      stack.pop_back();
-      double excl_us =
-          static_cast<double>(done.span->end_us - done.span->begin_us) -
-          done.child_us;
-      row.layer_ms[static_cast<int>(done.span->layer)] += excl_us / 1e3;
-      if (!stack.empty()) {
-        stack.back().child_us +=
-            static_cast<double>(done.span->end_us - done.span->begin_us);
-      }
+    int OnOpen(const Span&, int) override { return 0; }
+    void OnClose(const Span& span, int, int64_t exclusive_us, int64_t,
+                 int64_t) override {
+      row_->layer_ms[static_cast<int>(span.layer)] +=
+          static_cast<double>(exclusive_us) / 1e3;
     }
-  }
 
+    std::map<int32_t, Row> rows;
+
+   private:
+    Row* row_ = nullptr;
+  };
+
+  RowFold fold;
+  WalkSpanStacks(recorder, fold);
   LatencyBreakdown breakdown;
-  breakdown.rows_.reserve(rows.size());
-  for (auto& [label, row] : rows) breakdown.rows_.push_back(row);
+  breakdown.rows_.reserve(fold.rows.size());
+  for (auto& [label, row] : fold.rows) breakdown.rows_.push_back(row);
   return breakdown;
-}
-
-const LatencyBreakdown::Row* LatencyBreakdown::Find(int32_t label) const {
-  for (const Row& row : rows_) {
-    if (row.label == label) return &row;
-  }
-  return nullptr;
-}
-
-double LatencyBreakdown::MeanTotalMs(int32_t label) const {
-  const Row* row = Find(label);
-  if (row == nullptr || row->txns == 0) return 0;
-  return row->total_ms / static_cast<double>(row->txns);
 }
 
 }  // namespace cloudybench::obs

@@ -13,7 +13,8 @@ namespace cloudybench::obs {
 /// *exclusive* time per layer — the in-process answer to "where does the
 /// latency go" (flame-graph style: a parent span is only charged for time
 /// not covered by one of its children, so the layer columns of a row sum
-/// exactly to the row's end-to-end total).
+/// exactly to the row's end-to-end total). It is a fold over the same
+/// stack-recovery walk the Profiler builds its tree from (WalkSpanStacks).
 ///
 /// Only committed kTxn root spans (and the spans on their tracks)
 /// participate; aborted and torn-down transactions are excluded, matching
@@ -33,10 +34,6 @@ class LatencyBreakdown {
 
   /// Rows sorted by label.
   const std::vector<Row>& rows() const { return rows_; }
-  const Row* Find(int32_t label) const;
-
-  /// Mean end-to-end latency for a label; 0 when absent.
-  double MeanTotalMs(int32_t label) const;
 
  private:
   std::vector<Row> rows_;

@@ -13,8 +13,7 @@ namespace cloudybench::obs {
 namespace {
 
 struct TrackState {
-  // (span, index into recorder.spans()) in recording order — pre-order DFS
-  // on one track, same invariant the breakdown relies on. The index keys
+  // (span, index into recorder.spans()) in recording order. The index keys
   // the parallel wall-stamp vector.
   std::vector<std::pair<const Span*, size_t>> spans;
   const Span* root = nullptr;  // first kTxn span on the track
@@ -36,32 +35,7 @@ void AppendInt(std::string* out, int64_t v) {
 
 }  // namespace
 
-Profiler Profiler::FromTrace(const TraceRecorder& recorder,
-                             const ProfileOptions& options) {
-  Profiler profile;
-  profile.nodes_.push_back(Node{});  // synthetic root at index 0
-
-  // Finds (or creates) `parent`'s child for this span's (name, layer).
-  // Fan-out per node is small (a handful of distinct child names), so a
-  // linear scan beats a map and keeps nodes_ the only allocation.
-  auto child_of = [&profile](int parent, const Span* span) {
-    for (int c : profile.nodes_[static_cast<size_t>(parent)].children) {
-      const Node& node = profile.nodes_[static_cast<size_t>(c)];
-      if (node.layer == span->layer &&
-          std::strcmp(node.name, span->name) == 0) {
-        return c;
-      }
-    }
-    int id = static_cast<int>(profile.nodes_.size());
-    Node node;
-    node.name = span->name;
-    node.layer = span->layer;
-    node.parent = parent;
-    profile.nodes_.push_back(node);
-    profile.nodes_[static_cast<size_t>(parent)].children.push_back(id);
-    return id;
-  };
-
+void WalkSpanStacks(const TraceRecorder& recorder, SpanStackVisitor& visitor) {
   // Bucket closed spans by track, preserving recording order (std::map:
   // ascending track id, itself allocation-ordered and deterministic).
   std::map<uint64_t, TrackState> tracks;
@@ -77,19 +51,12 @@ Profiler Profiler::FromTrace(const TraceRecorder& recorder,
   const std::vector<TraceRecorder::WallStamp>& wall = recorder.wall_stamps();
   std::vector<Frame> stack;
 
-  auto close_top = [&profile, &stack] {
+  auto close_top = [&visitor, &stack] {
     Frame done = stack.back();
     stack.pop_back();
     int64_t dur = done.span->end_us - done.span->begin_us;
-    Node& node = profile.nodes_[static_cast<size_t>(done.node)];
-    node.count += 1;
-    node.inclusive_us += dur;
-    node.exclusive_us += dur - done.child_us;
-    if (done.wall_ns >= 0) {
-      node.wall_inclusive_ns += done.wall_ns;
-      node.wall_exclusive_ns += done.wall_ns - done.wall_child_ns;
-      profile.has_wall_ = true;
-    }
+    visitor.OnClose(*done.span, done.node, dur - done.child_us, done.wall_ns,
+                    done.wall_ns >= 0 ? done.wall_ns - done.wall_child_ns : 0);
     if (!stack.empty()) {
       stack.back().child_us += dur;
       if (done.wall_ns >= 0) stack.back().wall_child_ns += done.wall_ns;
@@ -97,15 +64,12 @@ Profiler Profiler::FromTrace(const TraceRecorder& recorder,
   };
 
   for (auto& [track, state] : tracks) {
-    if (options.only_committed_txn_tracks) {
-      const Span* root = state.root;
-      if (root == nullptr || !root->committed || root->label < 0) continue;
-    }
+    if (!visitor.OnTrack(state.root)) continue;
     stack.clear();
     for (const auto& [span, index] : state.spans) {
-      // Same pop rule as the breakdown: the top is done once it ended at or
-      // before this span begins — unless the two coincide in a way that
-      // still nests (aborts close parent and child at one instant).
+      // The top is done once it ended at or before this span begins —
+      // unless the two coincide in a way that still nests (an abort closes
+      // the root at the same sim time as an inner span).
       while (!stack.empty() && stack.back().span->end_us <= span->begin_us &&
              !(stack.back().span->end_us >= span->end_us &&
                stack.back().span->begin_us <= span->begin_us)) {
@@ -113,7 +77,7 @@ Profiler Profiler::FromTrace(const TraceRecorder& recorder,
       }
       Frame frame;
       frame.span = span;
-      frame.node = child_of(stack.empty() ? 0 : stack.back().node, span);
+      frame.node = visitor.OnOpen(*span, stack.empty() ? 0 : stack.back().node);
       if (index < wall.size() && wall[index].begin_ns >= 0 &&
           wall[index].end_ns >= 0) {
         frame.wall_ns = wall[index].end_ns - wall[index].begin_ns;
@@ -122,6 +86,59 @@ Profiler Profiler::FromTrace(const TraceRecorder& recorder,
     }
     while (!stack.empty()) close_top();
   }
+}
+
+Profiler Profiler::FromTrace(const TraceRecorder& recorder) {
+  // Merges every track into one tree: OnOpen finds (or creates) the
+  // parent node's child for the span's (name, layer), OnClose charges it.
+  class TreeBuilder : public SpanStackVisitor {
+   public:
+    explicit TreeBuilder(Profiler* profile) : profile_(profile) {}
+
+    bool OnTrack(const Span*) override { return true; }
+
+    // Fan-out per node is small (a handful of distinct child names), so a
+    // linear scan beats a map and keeps nodes_ the only allocation.
+    int OnOpen(const Span& span, int parent) override {
+      std::vector<Node>& nodes = profile_->nodes_;
+      for (int c : nodes[static_cast<size_t>(parent)].children) {
+        const Node& node = nodes[static_cast<size_t>(c)];
+        if (node.layer == span.layer &&
+            std::strcmp(node.name, span.name) == 0) {
+          return c;
+        }
+      }
+      int id = static_cast<int>(nodes.size());
+      Node node;
+      node.name = span.name;
+      node.layer = span.layer;
+      node.parent = parent;
+      nodes.push_back(node);
+      nodes[static_cast<size_t>(parent)].children.push_back(id);
+      return id;
+    }
+
+    void OnClose(const Span& span, int id, int64_t exclusive_us,
+                 int64_t wall_ns, int64_t wall_exclusive_ns) override {
+      Node& node = profile_->nodes_[static_cast<size_t>(id)];
+      node.count += 1;
+      node.inclusive_us += span.end_us - span.begin_us;
+      node.exclusive_us += exclusive_us;
+      if (wall_ns >= 0) {
+        node.wall_inclusive_ns += wall_ns;
+        node.wall_exclusive_ns += wall_exclusive_ns;
+        profile_->has_wall_ = true;
+      }
+    }
+
+   private:
+    Profiler* profile_;
+  };
+
+  Profiler profile;
+  profile.nodes_.push_back(Node{});  // synthetic root at index 0
+  TreeBuilder builder(&profile);
+  WalkSpanStacks(recorder, builder);
 
   // Deterministic export order: children sorted by (name, layer). Node ids
   // reflect discovery order, which can differ between traces that produce

@@ -22,7 +22,8 @@ inline constexpr bool kCompiled = true;
 #endif
 
 /// Span taxonomy: which layer of the stack a span's time belongs to. The
-/// LatencyBreakdown analyzer aggregates *exclusive* time per layer, so a
+/// stack-recovery walk behind Profiler and LatencyBreakdown
+/// (WalkSpanStacks, obs/profiler.h) charges *exclusive* time per span, so a
 /// parent span (kOp) only accounts for time not covered by its children
 /// (kLock, kCpu, ...). See DESIGN.md "Observability".
 enum class Layer : uint8_t {

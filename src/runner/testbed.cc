@@ -1,7 +1,8 @@
-#include "core/testbed.h"
+#include "runner/testbed.h"
 
 #include <cstdio>
-#include <memory>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "core/evaluators.h"
@@ -9,27 +10,17 @@
 #include "core/sales_workload.h"
 #include "core/tenancy.h"
 #include "obs/exporters.h"
-#include "obs/metric_registry.h"
 #include "obs/trace.h"
+#include "runner/oltp_cell.h"
 #include "sim/environment.h"
 #include "sut/profiles.h"
 #include "util/string_util.h"
 
-namespace cloudybench {
+namespace cloudybench::runner {
 
 namespace {
 
 using util::Status;
-
-util::Result<sut::SutKind> ParseSut(const std::string& name) {
-  std::string lower = util::ToLower(name);
-  if (lower == "rds" || lower == "aws rds") return sut::SutKind::kAwsRds;
-  if (lower == "cdb1") return sut::SutKind::kCdb1;
-  if (lower == "cdb2") return sut::SutKind::kCdb2;
-  if (lower == "cdb3") return sut::SutKind::kCdb3;
-  if (lower == "cdb4") return sut::SutKind::kCdb4;
-  return Status::InvalidArgument("unknown sut: " + name);
-}
 
 /// The paper's per-slot concurrency keys: first_con, second_con, ...
 const char* kSlotConKeys[] = {"first_con",  "second_con", "third_con",
@@ -41,10 +32,13 @@ const char* kSlotConKeys[] = {"first_con",  "second_con", "third_con",
 Testbed::Testbed(util::Properties props) : props_(std::move(props)) {}
 
 util::Status Testbed::RunAll() {
-  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(sut::SutKind kind, ParseSut(sut_name));
+  CB_ASSIGN_OR_RETURN(sut_name_, props_.RequireString("sut"));
+  CB_ASSIGN_OR_RETURN(spec_.sut, sut::ParseSut(sut_name_));
+  spec_.scale_factor = props_.GetInt("scale_factor", 1);
+  spec_.n_ro = 1;
   std::printf("CloudyBench testbed — SUT %s, SF%lld, seed %lld\n\n",
-              sut::SutName(kind), static_cast<long long>(props_.GetInt("scale_factor", 1)),
+              sut::SutName(spec_.sut),
+              static_cast<long long>(spec_.scale_factor),
               static_cast<long long>(props_.GetInt("seed", 42)));
   obs::TraceRecorder::Get().SetEnabled(props_.GetBool("obs.enable", false));
   ReportWriter report(props_.GetString("output.csv_dir", ""));
@@ -95,60 +89,56 @@ SalesWorkloadConfig WorkloadFromProps(const util::Properties& props) {
 }  // namespace
 
 util::Status Testbed::RunOltp(ReportWriter* report) {
-  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(sut::SutKind kind, ParseSut(sut_name));
-  sim::Environment env;
-  cloud::ClusterConfig config = sut::MakeProfile(kind);
-  sut::FreezeAtMaxCapacity(&config);
-  cloud::Cluster cluster(&env, config, 1);
   SalesTransactionSet txns(WorkloadFromProps(props_));
-  cluster.Load(txns.Schemas(), props_.GetInt("scale_factor", 1));
-  cluster.PrewarmBuffers();
+  CellDeployment rig(spec_, txns.Schemas());
 
   OltpEvaluator::Options options;
-  options.concurrency = static_cast<int>(props_.GetInt("oltp.concurrency", 100));
+  options.concurrency =
+      static_cast<int>(props_.GetInt("oltp.concurrency", 100));
   options.measure = sim::Seconds(
       static_cast<double>(props_.GetInt("oltp.seconds", 10)));
   options.metrics_export_path = props_.GetString("obs.metrics_path", "");
-  OltpResult r = OltpEvaluator::Run(&env, &cluster, &txns, options);
+  OltpResult r =
+      OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
   std::printf("[oltp]       TPS %.0f  p50 %.2fms  p99 %.2fms  cost %.4f$/min"
               "  P-Score %.0f\n",
               r.mean_tps, r.p50_latency_ms, r.p99_latency_ms,
               r.cost_per_minute.total(), r.p_score);
-  report->AddOltp(sut_name, r);
+  report->AddOltp(sut_name_, r);
   return Status::OK();
 }
 
 util::Status Testbed::RunElasticity(ReportWriter* report) {
-  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(sut::SutKind kind, ParseSut(sut_name));
-  double time_scale = props_.GetDouble("time_scale", 0.1);
-  sim::Environment env;
-  cloud::ClusterConfig config = sut::MakeProfile(kind, time_scale);
-  sut::EnableServerless(&config);
-  cloud::Cluster cluster(&env, config, 0);
+  // Either a named basic pattern, or the paper's extensible custom schedule
+  // via elastic_testTime + first_con/second_con/...
+  int64_t custom_slots = props_.GetInt("elasticity.elastic_testTime", 0);
+  if (custom_slots > static_cast<int64_t>(std::size(kSlotConKeys))) {
+    return Status::InvalidArgument(
+        "elasticity.elastic_testTime = " + std::to_string(custom_slots) +
+        " exceeds the " + std::to_string(std::size(kSlotConKeys)) +
+        " slots first_con..eighth_con can describe");
+  }
+  CellSpec spec = spec_;
+  spec.n_ro = 0;
+  spec.time_scale = props_.GetDouble("time_scale", 0.1);
+  spec.serverless = true;
+  spec.freeze_at_max = false;
   SalesTransactionSet txns(WorkloadFromProps(props_));
-  cluster.Load(txns.Schemas(), props_.GetInt("scale_factor", 1));
-  cluster.PrewarmBuffers();
+  CellDeployment rig(spec, txns.Schemas());
 
   ElasticityEvaluator::Options options;
   options.tau = static_cast<int>(props_.GetInt("elasticity.tau", 110));
   options.slot = sim::Seconds(props_.GetDouble("elasticity.slot_seconds", 6));
 
-  // Either a named basic pattern, or the paper's extensible custom schedule
-  // via elastic_testTime + first_con/second_con/...
   ElasticityResult result;
-  int64_t custom_slots = props_.GetInt("elasticity.elastic_testTime", 0);
   if (custom_slots > 0) {
     std::vector<int> schedule;
     for (int64_t i = 0; i < custom_slots; ++i) {
-      if (i < static_cast<int64_t>(std::size(kSlotConKeys))) {
-        schedule.push_back(static_cast<int>(props_.GetInt(
-            std::string("elasticity.") + kSlotConKeys[i], 0)));
-      }
+      schedule.push_back(static_cast<int>(props_.GetInt(
+          std::string("elasticity.") + kSlotConKeys[i], 0)));
     }
-    result = ElasticityEvaluator::RunSchedule(&env, &cluster, &txns, schedule,
-                                              options);
+    result = ElasticityEvaluator::RunSchedule(&rig.env, rig.cluster.get(),
+                                              &txns, schedule, options);
   } else {
     std::string name =
         util::ToLower(props_.GetString("elasticity.pattern", "spike"));
@@ -156,7 +146,8 @@ util::Status Testbed::RunElasticity(ReportWriter* report) {
     if (name == "peak") pattern = ElasticityPattern::kSinglePeak;
     if (name == "valley") pattern = ElasticityPattern::kSingleValley;
     if (name == "zero") pattern = ElasticityPattern::kZeroValley;
-    result = ElasticityEvaluator::Run(&env, &cluster, &txns, pattern, options);
+    result = ElasticityEvaluator::Run(&rig.env, rig.cluster.get(), &txns,
+                                      pattern, options);
   }
 
   std::printf("[elasticity] schedule (");
@@ -167,13 +158,11 @@ util::Status Testbed::RunElasticity(ReportWriter* report) {
               "%zu scaling events\n",
               result.mean_tps, result.total_cost.total(), result.e1_score,
               result.scaling_events.size());
-  report->AddElasticity(sut_name, result);
+  report->AddElasticity(sut_name_, result);
   return Status::OK();
 }
 
 util::Status Testbed::RunTenancy(ReportWriter* report) {
-  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(sut::SutKind kind, ParseSut(sut_name));
   std::string name =
       util::ToLower(props_.GetString("tenancy.pattern", "staggered_high"));
   TenancyPattern pattern = TenancyPattern::kStaggeredHigh;
@@ -183,8 +172,8 @@ util::Status Testbed::RunTenancy(ReportWriter* report) {
 
   sim::Environment env;
   MultiTenantDeployment deployment(
-      &env, kind, static_cast<int>(props_.GetInt("tenancy.tenants", 3)),
-      props_.GetInt("scale_factor", 1));
+      &env, spec_.sut, static_cast<int>(props_.GetInt("tenancy.tenants", 3)),
+      spec_.scale_factor);
   MultiTenancyEvaluator::Options options;
   options.tau = static_cast<int>(props_.GetInt("tenancy.tau", 330));
   options.slot = sim::Seconds(props_.GetDouble("tenancy.slot_seconds", 6));
@@ -196,23 +185,16 @@ util::Status Testbed::RunTenancy(ReportWriter* report) {
               TenancyPatternName(pattern),
               TenancyModelName(deployment.model()), r.total_tps,
               r.cost_per_minute.total(), r.t_score);
-  report->AddTenancy(sut_name, r);
+  report->AddTenancy(sut_name_, r);
   return Status::OK();
 }
 
 util::Status Testbed::RunFailover(ReportWriter* report) {
-  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(sut::SutKind kind, ParseSut(sut_name));
-  sim::Environment env;
-  cloud::ClusterConfig config = sut::MakeProfile(kind);
-  sut::FreezeAtMaxCapacity(&config);
-  cloud::Cluster cluster(&env, config, 1);
   SalesWorkloadConfig workload_cfg = WorkloadFromProps(props_);
   workload_cfg.route_reads_to_replicas =
       util::ToLower(props_.GetString("failover.node", "rw")) != "rw";
   SalesTransactionSet txns(workload_cfg);
-  cluster.Load(txns.Schemas(), props_.GetInt("scale_factor", 1));
-  cluster.PrewarmBuffers();
+  CellDeployment rig(spec_, txns.Schemas());
 
   FailoverEvaluator::Options options;
   options.concurrency =
@@ -220,24 +202,18 @@ util::Status Testbed::RunFailover(ReportWriter* report) {
   options.fail_rw =
       util::ToLower(props_.GetString("failover.node", "rw")) == "rw";
   options.target_tps = props_.GetDouble("failover.target_tps", 3000);
-  FailoverResult r = FailoverEvaluator::Run(&env, &cluster, &txns, options);
+  FailoverResult r =
+      FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
   std::printf("[failover]   %s restart: F %.1fs  R %.1fs  "
               "(pre-failure TPS %.0f, target %.0f)\n",
               options.fail_rw ? "RW" : "RO", r.f_seconds, r.r_seconds,
               r.pre_failure_tps, r.target_tps);
-  report->AddFailover(sut_name, r);
+  report->AddFailover(sut_name_, r);
   return Status::OK();
 }
 
 util::Status Testbed::RunLag(ReportWriter* report) {
-  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(sut::SutKind kind, ParseSut(sut_name));
-  sim::Environment env;
-  cloud::ClusterConfig config = sut::MakeProfile(kind);
-  sut::FreezeAtMaxCapacity(&config);
-  cloud::Cluster cluster(&env, config, 1);
-  cluster.Load(sales::Schemas(), props_.GetInt("scale_factor", 1));
-  cluster.PrewarmBuffers();
+  CellDeployment rig(spec_, sales::Schemas());
 
   LagTimeEvaluator::Options options;
   options.concurrency = static_cast<int>(props_.GetInt("lag.concurrency", 20));
@@ -245,12 +221,12 @@ util::Status Testbed::RunLag(ReportWriter* report) {
   options.update_pct = static_cast<int>(props_.GetInt("lag.update", 30));
   options.delete_pct = static_cast<int>(props_.GetInt("lag.delete", 10));
   options.seed = static_cast<uint64_t>(props_.GetInt("seed", 42));
-  LagTimeResult r = LagTimeEvaluator::Run(&env, &cluster, options);
+  LagTimeResult r = LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
   std::printf("[lag]        insert %.2fms  update %.2fms  delete %.2fms  "
               "C-Score %.2f\n",
               r.insert_lag_ms, r.update_lag_ms, r.delete_lag_ms, r.c_score);
-  report->AddLag(sut_name, r);
+  report->AddLag(sut_name_, r);
   return Status::OK();
 }
 
-}  // namespace cloudybench
+}  // namespace cloudybench::runner

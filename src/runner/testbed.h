@@ -1,19 +1,22 @@
-#ifndef CLOUDYBENCH_CORE_TESTBED_H_
-#define CLOUDYBENCH_CORE_TESTBED_H_
+#ifndef CLOUDYBENCH_RUNNER_TESTBED_H_
+#define CLOUDYBENCH_RUNNER_TESTBED_H_
 
 #include <string>
 
 #include "core/report.h"
+#include "runner/matrix.h"
 #include "util/properties.h"
 #include "util/status.h"
 
-namespace cloudybench {
+namespace cloudybench::runner {
 
 /// The config-file-driven testbed front end (paper Fig. 1): given a `props`
 /// configuration, runs the selected evaluators against the selected SUT and
 /// prints their reports. This is the integration surface the paper
 /// describes for extending patterns — e.g. add a fourth elasticity slot by
-/// setting `elastic_testTime = 4` and `fourth_con = ...`.
+/// setting `elastic_testTime = 4` and `fourth_con = ...`. Each single-SUT
+/// section deploys through CellDeployment (runner/oltp_cell.h), like every
+/// bench cell.
 ///
 /// Recognized keys (all optional unless noted):
 ///
@@ -31,8 +34,8 @@ namespace cloudybench {
 ///
 ///   [elasticity]       enable, tau, slot_seconds,
 ///                      pattern = peak|spike|valley|zero, or a custom
-///                      schedule: elastic_testTime = N plus first_con,
-///                      second_con, third_con, fourth_con, ... (paper keys)
+///                      schedule: elastic_testTime = N (at most 8) plus
+///                      first_con, second_con, ..., eighth_con (paper keys)
 ///
 ///   [tenancy]          enable, tenants, tau,
 ///                      pattern = high|low|staggered_high|staggered_low
@@ -57,8 +60,13 @@ class Testbed {
   util::Status RunLag(ReportWriter* report);
 
   util::Properties props_;
+  /// Set by RunAll: the `sut` value as written (the report's row key) and
+  /// the throughput-style deployment (one RO replica, pinned at max
+  /// capacity) of that SUT at the props scale factor.
+  std::string sut_name_;
+  CellSpec spec_;
 };
 
-}  // namespace cloudybench
+}  // namespace cloudybench::runner
 
-#endif  // CLOUDYBENCH_CORE_TESTBED_H_
+#endif  // CLOUDYBENCH_RUNNER_TESTBED_H_

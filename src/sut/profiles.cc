@@ -3,6 +3,7 @@
 #include "net/network.h"
 
 #include "util/logging.h"
+#include "util/string_util.h"
 
 namespace cloudybench::sut {
 
@@ -362,6 +363,16 @@ const char* SutName(SutKind kind) {
       return "CDB4";
   }
   return "?";
+}
+
+util::Result<SutKind> ParseSut(std::string_view name) {
+  std::string lower = util::ToLower(name);
+  if (lower == "rds" || lower == "aws rds") return SutKind::kAwsRds;
+  if (lower == "cdb1") return SutKind::kCdb1;
+  if (lower == "cdb2") return SutKind::kCdb2;
+  if (lower == "cdb3") return SutKind::kCdb3;
+  if (lower == "cdb4") return SutKind::kCdb4;
+  return util::Status::InvalidArgument("unknown sut: " + std::string(name));
 }
 
 std::vector<SutKind> AllSuts() {

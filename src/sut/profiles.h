@@ -2,9 +2,11 @@
 #define CLOUDYBENCH_SUT_PROFILES_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cloud/cluster.h"
+#include "util/result.h"
 
 namespace cloudybench::sut {
 
@@ -20,6 +22,9 @@ enum class SutKind {
 };
 
 const char* SutName(SutKind kind);
+/// Case-insensitive inverse of SutName that also takes the short forms:
+/// "rds" / "aws rds", "cdb1" ... "cdb4". Anything else is kInvalidArgument.
+util::Result<SutKind> ParseSut(std::string_view name);
 std::vector<SutKind> AllSuts();
 
 /// Builds a full cluster configuration for one SUT.

@@ -83,18 +83,6 @@ double TimeSeries::MeanInTrailingWindow(double t1, double width) const {
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
 }
 
-double TimeSeries::MaxInWindow(double t0, double t1) const {
-  double mx = 0.0;
-  bool any = false;
-  for (const Point& p : points_) {
-    if (p.time_s >= t0 && p.time_s < t1) {
-      mx = any ? std::max(mx, p.value) : p.value;
-      any = true;
-    }
-  }
-  return any ? mx : 0.0;
-}
-
 double TimeSeries::IntegrateStep(double t0, double t1) const {
   if (points_.empty() || t1 <= t0) return 0.0;
   double total = 0.0;
@@ -169,44 +157,6 @@ std::vector<double> TimeSeries::SlotMeans(double slot_s, int n_slots) const {
   for (size_t i = 0; i < sums.size(); ++i) {
     if (counts[i] > 0) out[i] = sums[i] / static_cast<double>(counts[i]);
   }
-  return out;
-}
-
-size_t TimeSeries::QuantileRank(double q) const {
-  CB_CHECK(q >= 0.0 && q <= 1.0);
-  size_t n = points_.size();
-  int64_t rank =
-      static_cast<int64_t>(std::ceil(q * static_cast<double>(n))) - 1;
-  return static_cast<size_t>(std::clamp<int64_t>(rank, 0,
-                                                 static_cast<int64_t>(n) - 1));
-}
-
-double TimeSeries::ValueQuantile(double q) const {
-  if (points_.empty()) return 0.0;
-  scratch_.clear();
-  scratch_.reserve(points_.size());
-  for (const Point& p : points_) scratch_.push_back(p.value);
-  size_t rank = QuantileRank(q);
-  std::nth_element(scratch_.begin(),
-                   scratch_.begin() + static_cast<ptrdiff_t>(rank),
-                   scratch_.end());
-  return scratch_[rank];
-}
-
-std::vector<double> TimeSeries::ValueQuantiles(
-    const std::vector<double>& qs) const {
-  std::vector<double> out;
-  out.reserve(qs.size());
-  if (points_.empty()) {
-    out.assign(qs.size(), 0.0);
-    return out;
-  }
-  scratch_.clear();
-  scratch_.reserve(points_.size());
-  for (const Point& p : points_) scratch_.push_back(p.value);
-  // One shared sort serves every requested quantile.
-  std::sort(scratch_.begin(), scratch_.end());
-  for (double q : qs) out.push_back(scratch_[QuantileRank(q)]);
   return out;
 }
 

@@ -56,8 +56,6 @@ class TimeSeries {
   /// t1 - width — no boundary epsilons needed (the benches used to fake
   /// this with MeanInWindow(t0 + 0.001, t1 + 0.001)).
   double MeanInTrailingWindow(double t1, double width) const;
-  /// Max of values with time in [t0, t1); 0 when empty.
-  double MaxInWindow(double t0, double t1) const;
   /// Step-function integral of value dt over [t0, t1): treats each sample as
   /// holding until the next. Used to turn allocated-resource curves into
   /// resource-hours for costing.
@@ -76,23 +74,8 @@ class TimeSeries {
   /// per slot.
   std::vector<double> SlotMeans(double slot_s, int n_slots) const;
 
-  /// Nearest-rank quantile of the recorded *values*, q in [0, 1]. Uses
-  /// nth_element over a reused scratch buffer — no full sort and no fresh
-  /// copy allocation per call.
-  double ValueQuantile(double q) const;
-  /// Several quantiles at once: one shared sort of the scratch buffer
-  /// serves every requested q (cheaper than repeated selection once more
-  /// than ~two quantiles are wanted).
-  std::vector<double> ValueQuantiles(const std::vector<double>& qs) const;
-
  private:
-  size_t QuantileRank(double q) const;
-
   std::vector<Point> points_;  // appended in nondecreasing time order
-  /// Value scratch for the quantile queries. Mutable so the (logically
-  /// const) queries can reuse its capacity; TimeSeries is single-threaded
-  /// like everything the collectors own, so there is no sharing hazard.
-  mutable std::vector<double> scratch_;
 };
 
 }  // namespace cloudybench::util

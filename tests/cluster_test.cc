@@ -116,6 +116,15 @@ TEST(ProfilesTest, ServerlessFlagsMatchTableIV) {
   EXPECT_FALSE(sut::IsServerless(SutKind::kCdb4));
 }
 
+TEST(ProfilesTest, ParseSutAcceptsShortAndDisplayNames) {
+  EXPECT_EQ(*sut::ParseSut("rds"), SutKind::kAwsRds);
+  EXPECT_EQ(*sut::ParseSut("AWS RDS"), SutKind::kAwsRds);
+  EXPECT_EQ(*sut::ParseSut("CDB4"), SutKind::kCdb4);
+  util::Result<SutKind> unknown = sut::ParseSut("oracle");
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.status().code(), util::StatusCode::kInvalidArgument);
+}
+
 TEST(ProfilesTest, TimeScaleCompressesControlPlaneOnly) {
   ClusterConfig full = sut::MakeProfile(SutKind::kCdb1, 1.0);
   ClusterConfig fast = sut::MakeProfile(SutKind::kCdb1, 0.1);

@@ -14,7 +14,7 @@
 #include "core/evaluators.h"
 #include "core/microservices.h"
 #include "core/report.h"
-#include "core/testbed.h"
+#include "runner/testbed.h"
 #include "core/collector.h"
 #include "core/metrics.h"
 #include "core/patterns.h"
@@ -478,7 +478,7 @@ TEST(TestbedTest2, WritesCsvWhenConfigured) {
       seconds = 1
   )").ok());
   props.Set("output.csv_dir", dir);
-  Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props));
   ASSERT_TRUE(testbed.RunAll().ok());
   std::ifstream csv(dir + "/oltp.csv");
   EXPECT_TRUE(csv.good());

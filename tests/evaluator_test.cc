@@ -11,7 +11,7 @@
 #include "core/evaluators.h"
 #include "core/sales_workload.h"
 #include "core/tenancy.h"
-#include "core/testbed.h"
+#include "runner/testbed.h"
 #include "obs/metric_registry.h"
 #include "sim/environment.h"
 #include "sut/profiles.h"
@@ -407,7 +407,7 @@ TEST(TestbedTest, RunsMinimalConfig) {
       concurrency = 20
       seconds = 1
   )").ok());
-  Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props));
   EXPECT_TRUE(testbed.RunAll().ok());
 }
 
@@ -427,20 +427,34 @@ TEST(TestbedTest, CustomElasticityScheduleViaPaperKeys) {
       third_con = 15
       fourth_con = 4
   )").ok());
-  Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props));
   EXPECT_TRUE(testbed.RunAll().ok());
+}
+
+TEST(TestbedTest, OversizedCustomElasticityScheduleIsError) {
+  util::Properties props;
+  ASSERT_TRUE(props.ParseString(R"(
+      sut = cdb3
+      [oltp]
+      enable = false
+      [elasticity]
+      enable = true
+      elastic_testTime = 9
+  )").ok());
+  runner::Testbed testbed(std::move(props));
+  EXPECT_EQ(testbed.RunAll().code(), util::StatusCode::kInvalidArgument);
 }
 
 TEST(TestbedTest, MissingSutIsError) {
   util::Properties props;
-  Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props));
   EXPECT_TRUE(testbed.RunAll().IsNotFound());
 }
 
 TEST(TestbedTest, UnknownSutIsError) {
   util::Properties props;
   props.Set("sut", "oracle");
-  Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props));
   EXPECT_EQ(testbed.RunAll().code(), util::StatusCode::kInvalidArgument);
 }
 

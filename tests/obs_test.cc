@@ -147,7 +147,6 @@ TEST(LatencyBreakdownTest, ExclusiveTimePerLayerSumsToTotal) {
   double sum = 0;
   for (double ms : row.layer_ms) sum += ms;
   EXPECT_DOUBLE_EQ(sum, row.total_ms);
-  EXPECT_DOUBLE_EQ(breakdown.MeanTotalMs(2), 0.1);
 }
 
 TEST(LatencyBreakdownTest, SiblingsPopAndEqualBoundariesNest) {
@@ -210,9 +209,8 @@ TEST(LatencyBreakdownTest, ExcludesAbortedUnlabeledAndOpenRoots) {
   LatencyBreakdown breakdown = LatencyBreakdown::FromTrace(recorder);
   ASSERT_EQ(breakdown.rows().size(), 1u);
   EXPECT_EQ(breakdown.rows()[0].txns, 1);
+  EXPECT_EQ(breakdown.rows()[0].label, 1);
   EXPECT_DOUBLE_EQ(breakdown.rows()[0].total_ms, 0.02);
-  EXPECT_EQ(breakdown.Find(99), nullptr);
-  EXPECT_DOUBLE_EQ(breakdown.MeanTotalMs(99), 0.0);
 }
 
 // ---- exporters ----------------------------------------------------------

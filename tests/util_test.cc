@@ -1,8 +1,6 @@
 // Unit tests for the util module: Status/Result, Properties, random
 // distributions, statistics, and the table printer.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <set>
 #include <vector>
@@ -373,7 +371,6 @@ TEST(TimeSeriesTest, WindowQueries) {
   ts.Add(2.0, 30);
   ts.Add(3.0, 0);
   EXPECT_DOUBLE_EQ(ts.MeanInWindow(0, 2), 15.0);
-  EXPECT_DOUBLE_EQ(ts.MaxInWindow(0, 4), 30.0);
   EXPECT_DOUBLE_EQ(ts.MeanInWindow(10, 20), 0.0);
 }
 
@@ -412,53 +409,6 @@ TEST(TimeSeriesTest, MeanInTrailingWindowIsHalfOpenAtTheStart) {
   EXPECT_DOUBLE_EQ(ts.MeanInTrailingWindow(0.5, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(ts.MeanInTrailingWindow(10.0, 1.0), 0.0);
   EXPECT_DOUBLE_EQ(TimeSeries().MeanInTrailingWindow(1.0, 1.0), 0.0);
-}
-
-TEST(TimeSeriesTest, ValueQuantileMatchesSortedReference) {
-  TimeSeries ts;
-  Pcg32 rng(7);
-  std::vector<double> values;
-  for (int i = 0; i < 1001; ++i) {
-    double v = static_cast<double>(rng.NextBounded(10000)) / 10.0;
-    ts.Add(static_cast<double>(i), v);
-    values.push_back(v);
-  }
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  auto nearest_rank = [&sorted](double q) {
-    auto n = static_cast<double>(sorted.size());
-    auto rank = static_cast<int64_t>(std::ceil(q * n)) - 1;
-    rank = std::max<int64_t>(0, std::min<int64_t>(rank, sorted.size() - 1));
-    return sorted[static_cast<size_t>(rank)];
-  };
-  const std::vector<double> qs = {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0};
-  for (double q : qs) {
-    EXPECT_DOUBLE_EQ(ts.ValueQuantile(q), nearest_rank(q)) << "q=" << q;
-  }
-  // The batched path (one shared sort) agrees with per-call nth_element.
-  std::vector<double> batch = ts.ValueQuantiles(qs);
-  ASSERT_EQ(batch.size(), qs.size());
-  for (size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], nearest_rank(qs[i])) << "q=" << qs[i];
-  }
-  // Quantile queries never reorder or mutate the stored points.
-  ASSERT_EQ(ts.points().size(), values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    EXPECT_DOUBLE_EQ(ts.points()[i].value, values[i]);
-  }
-}
-
-TEST(TimeSeriesTest, ValueQuantileEmptyAndSingleElement) {
-  TimeSeries empty;
-  EXPECT_DOUBLE_EQ(empty.ValueQuantile(0.5), 0.0);
-  EXPECT_EQ(empty.ValueQuantiles({0.5, 0.9}),
-            (std::vector<double>{0.0, 0.0}));
-
-  TimeSeries one;
-  one.Add(0.0, 42.0);
-  EXPECT_DOUBLE_EQ(one.ValueQuantile(0.0), 42.0);
-  EXPECT_DOUBLE_EQ(one.ValueQuantile(0.5), 42.0);
-  EXPECT_DOUBLE_EQ(one.ValueQuantile(1.0), 42.0);
 }
 
 TEST(TimeSeriesTest, StepIntegralHoldsValues) {
