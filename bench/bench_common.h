@@ -13,6 +13,7 @@
 #include "core/workload_manager.h"
 #include "runner/oltp_cell.h"
 #include "runner/runner.h"
+#include "runner/section_cells.h"
 #include "sut/profiles.h"
 #include "util/logging.h"
 #include "util/string_util.h"

@@ -22,38 +22,6 @@ namespace {
 constexpr double kTimeScale = 0.1;
 constexpr int kTau = 110;  // the paper's calibrated saturation concurrency
 
-runner::CellResult RunElasticityCell(const runner::CellContext& ctx,
-                                     ElasticityPattern pattern) {
-  SalesTransactionSet txns(runner::SalesConfigFor(ctx.spec));
-  runner::CellDeployment rig(ctx.spec, txns.Schemas());
-  ElasticityEvaluator::Options options;
-  options.tau = ctx.spec.concurrency;
-  options.slot = sim::Seconds(60 * kTimeScale);
-  options.cost_window_slots = 10;
-  ElasticityResult r = ElasticityEvaluator::Run(&rig.env, rig.cluster.get(),
-                                                &txns, pattern, options);
-
-  std::string schedule = "(";
-  for (size_t i = 0; i < r.schedule.size(); ++i) {
-    if (i > 0) schedule += ',';
-    schedule += std::to_string(r.schedule[i]);
-  }
-  schedule += ')';
-  runner::CellResult result;
-  result.AddText("schedule", schedule);
-  result.AddMetric("tps", r.mean_tps, 0);
-  result.AddMetric("total_cost", r.total_cost.total(), 4);
-  // "ScaledCost" isolates the components elasticity actually varies
-  // (cpu+mem+iops, the E1 denominator) — this is where the paper's 9-12x
-  // fixed-vs-CDB3 cost gap lives; storage+network are flat.
-  result.AddMetric("scaled_cost",
-                   r.total_cost.cpu + r.total_cost.memory + r.total_cost.iops,
-                   4);
-  result.AddMetric("e1_score", r.e1_score, 0);
-  result.sim_seconds = rig.env.Now().ToSeconds();
-  return result;
-}
-
 void Run(const BenchArgs& args) {
   std::vector<std::string> modes =
       args.full ? std::vector<std::string>{"RO", "RW", "WO"}
@@ -86,7 +54,8 @@ void Run(const BenchArgs& args) {
   }
   std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
       .Run(cells, [&patterns](const runner::CellContext& ctx) {
-        return RunElasticityCell(ctx, patterns[ctx.index % patterns.size()]);
+        return runner::RunElasticityCell(
+            ctx, patterns[ctx.index % patterns.size()]);
       });
 
   std::printf(

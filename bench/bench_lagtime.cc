@@ -8,7 +8,6 @@
 // delete-heavy mixes lag least (logical deletion is cheap to apply).
 
 #include <cstdio>
-#include <string>
 
 #include "bench_common.h"
 
@@ -19,28 +18,6 @@ struct Mix {
   const char* name;
   int i, u, d;
 };
-
-runner::CellResult RunLagCell(const runner::CellContext& ctx, const Mix& mix) {
-  const runner::CellSpec& spec = ctx.spec;
-  runner::CellDeployment rig(spec, sales::Schemas());
-  LagTimeEvaluator::Options options;
-  options.concurrency = spec.concurrency;
-  options.warmup = spec.warmup;
-  options.measure = spec.measure;
-  options.insert_pct = mix.i;
-  options.update_pct = mix.u;
-  options.delete_pct = mix.d;
-  options.seed = spec.seed;
-  LagTimeResult r =
-      LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
-  runner::CellResult result;
-  result.AddMetric("insert_lag_ms", r.insert_lag_ms, 2);
-  result.AddMetric("update_lag_ms", r.update_lag_ms, 2);
-  result.AddMetric("delete_lag_ms", r.delete_lag_ms, 2);
-  result.AddMetric("c_score", r.c_score, 2);
-  result.sim_seconds = rig.env.Now().ToSeconds();
-  return result;
-}
 
 void Run(const BenchArgs& args) {
   std::vector<Mix> mixes = {{"I60/U30/D10", 60, 30, 10},
@@ -66,7 +43,8 @@ void Run(const BenchArgs& args) {
   }
   std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
       .Run(cells, [&mixes](const runner::CellContext& ctx) {
-        return RunLagCell(ctx, mixes[ctx.index % mixes.size()]);
+        const Mix& mix = mixes[ctx.index % mixes.size()];
+        return runner::RunLagCell(ctx, mix.i, mix.u, mix.d);
       });
 
   std::printf("=== Lag time between RW and RO (ms), by IUD mix ===\n\n");

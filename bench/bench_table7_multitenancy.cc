@@ -17,40 +17,6 @@ namespace cloudybench::bench {
 namespace {
 
 constexpr double kTimeScale = 0.1;
-constexpr int kTenants = 3;
-constexpr int kSlots = 3;
-
-runner::CellResult RunTenancyCell(const runner::CellContext& ctx,
-                                  TenancyPattern pattern) {
-  const runner::CellSpec& spec = ctx.spec;
-  sim::Environment env;
-  MultiTenantDeployment deployment(&env, spec.sut, kTenants,
-                                   spec.scale_factor, spec.time_scale);
-  MultiTenancyEvaluator::Options options;
-  options.slots = kSlots;
-  options.slot = sim::Seconds(60 * kTimeScale);
-  options.tau = spec.concurrency;
-  TenancyResult r =
-      MultiTenancyEvaluator::Run(&env, &deployment, pattern, options);
-
-  cloud::ResourceVector res = deployment.TotalResources();
-  runner::CellResult result;
-  result.AddMetric("tps", r.total_tps, 0);
-  result.AddMetric("t_score", r.t_score, 0);
-  result.AddText("resources", F0(res.vcores) + "vC " + F0(res.memory_gb) +
-                                  "GB " + F0(res.storage_gb) + "GBsto " +
-                                  F0(res.iops) + "iops " +
-                                  F0(res.tcp_gbps + res.rdma_gbps) + "Gbps");
-  result.AddMetric("cost_per_min", r.cost_per_minute.total(), 4);
-  // Cost-efficiency per unit of work: dollars the deployment bills over the
-  // measured window and thousands of committed transactions, which the
-  // row fold pools across the four patterns into one $/kTxn number.
-  result.AddMetric("dollars", r.cost_per_minute.total() * r.window_s / 60.0,
-                   6);
-  result.AddMetric("ktxn", static_cast<double>(r.total_commits) / 1000.0, 3);
-  result.sim_seconds = env.Now().ToSeconds();
-  return result;
-}
 
 void Run(const BenchArgs& args) {
   std::vector<sut::SutKind> suts = sut::AllSuts();
@@ -75,12 +41,13 @@ void Run(const BenchArgs& args) {
   }
   std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
       .Run(cells, [&patterns](const runner::CellContext& ctx) {
-        return RunTenancyCell(ctx, patterns[ctx.index % patterns.size()]);
+        return runner::RunTenancyCell(ctx,
+                                      patterns[ctx.index % patterns.size()]);
       });
 
   std::printf(
       "=== Table VII: multi-tenancy (3 tenants, %d slots of %.0fs) ===\n\n",
-      kSlots, 60 * kTimeScale);
+      runner::kTenancySlots, 60 * kTimeScale);
   util::TablePrinter table({"System", "Model", "TPS(a)", "TPS(b)", "TPS(c)",
                             "TPS(d)", "Resources", "$/min", "T(a)", "T(b)",
                             "T(c)", "T(d)", "T(AVG)", "$/kTxn"});

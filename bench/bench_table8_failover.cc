@@ -14,38 +14,6 @@
 namespace cloudybench::bench {
 namespace {
 
-runner::CellResult RunFailoverCell(const runner::CellContext& ctx) {
-  const runner::CellSpec& spec = ctx.spec;
-  // The pattern names the failed node and its workload mode. RW failure:
-  // the full read-write stream runs on the RW node so the outage is fully
-  // visible. RO failure: a read-only stream pinned to the failing replica
-  // (clients hold connections to that endpoint).
-  bool fail_rw = spec.pattern == "RW";
-  SalesWorkloadConfig cfg = runner::SalesConfigFor(spec);
-  cfg.route_reads_to_replicas = !fail_rw;
-  cfg.sticky_replica = !fail_rw;
-  SalesTransactionSet txns(cfg);
-  runner::CellDeployment rig(spec, txns.Schemas());
-  FailoverEvaluator::Options options;
-  options.concurrency = spec.concurrency;
-  options.warmup = spec.warmup;
-  options.fail_rw = fail_rw;
-  // Recovery target: 90% of this SUT's own pre-failure TPS. (The paper
-  // sets one absolute target for all SUTs; with heterogeneous capacities a
-  // shared absolute target would leave the slowest SUT unable to recover
-  // at all, so we use a per-SUT 90% target — documented in EXPERIMENTS.md.)
-  options.target_tps = -1;
-  options.max_observation = spec.measure;
-  FailoverResult r =
-      FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
-
-  runner::CellResult result;
-  result.AddMetric("f_s", r.service_lost ? r.f_seconds : 0.0, 1);
-  result.AddMetric("r_s", r.service_lost ? r.r_seconds : 0.0, 1);
-  result.sim_seconds = rig.env.Now().ToSeconds();
-  return result;
-}
-
 void Run(const BenchArgs& args) {
   std::vector<sut::SutKind> suts = sut::AllSuts();
   // Matrix order: SUT (outer) -> RW failure, RO failure (inner).
@@ -64,7 +32,7 @@ void Run(const BenchArgs& args) {
     }
   }
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(args.runner).Run(cells, RunFailoverCell);
+      runner::MatrixRunner(args.runner).Run(cells, runner::RunFailoverCell);
 
   std::printf(
       "=== Table VIII: fail-over — F-Score and R-Score (seconds), con=150 "

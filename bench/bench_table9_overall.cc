@@ -8,249 +8,168 @@
 // and, thanks to its cheap startup pricing, the best O-Score* under actual
 // cost — the defined-vs-actual rank flips are the point of the comparison.
 //
-// Each SUT's full PERFECT evaluation (seven sections, ~a dozen
-// sub-simulations) is one cell.
+// Each SUT is eleven sub-cells (the section benches' cells plus a P/E2
+// throughput cell); its row is a pure fold of their result rows.
 
 #include <algorithm>
 #include <cstdio>
+#include <span>
+#include <utility>
 
 #include "bench_common.h"
 #include "core/metrics.h"
-#include "core/tenancy.h"
 
 namespace cloudybench::bench {
 namespace {
 
 constexpr double kTimeScale = 0.1;
 
-cloud::CostBreakdown ActualPerMinute(cloud::Cluster* cluster, double t0,
-                                     double t1) {
-  cloud::CostBreakdown window =
-      cluster->meter().ActualCost(cluster->config().actual_pricing, t0, t1);
-  double k = 60.0 / (t1 - t0);
-  return cloud::CostBreakdown{window.cpu * k, window.memory * k,
-                              window.storage * k, window.iops * k,
-                              window.network * k};
-}
+/// One SUT's sub-cells in matrix order (then one per tenancy pattern).
+enum SubCell : size_t { kP, kE1, kE2Ro0, kE2Ro1, kFailRw, kFailRo, kLag,
+                        kTenancy, kSubCells = kTenancy + 4 };
 
-/// The cell's spec with `n_ro` replicas: every sub-simulation deploys the
-/// cell's SUT at its scale factor through one CellDeployment of this.
-runner::CellSpec WithReplicas(const runner::CellSpec& cell, int n_ro) {
-  runner::CellSpec spec = cell;
-  spec.n_ro = n_ro;
-  return spec;
-}
-
-struct Row {
-  metrics::Perfect scores;
-  double p_star = 0, e1_star = 0, t_star = 0, o_star = 0;
-  /// Sum of the sub-simulations' clocks.
-  double sim_seconds = 0;
-};
-
-Row Evaluate(const runner::CellSpec& cell) {
-  Row row;
-
-  // ---- P / P*: read-write throughput per cost -------------------------
-  {
-    SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-    cfg.seed = cell.seed;
-    SalesTransactionSet txns(cfg);
-    runner::CellDeployment rig(WithReplicas(cell, 0), txns.Schemas());
-    OltpEvaluator::Options options;
-    options.concurrency = 150;
-    options.warmup = sim::Seconds(1);
-    options.measure = sim::Seconds(3);
-    OltpResult r = OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns,
-                                      options);
-    row.scores.p = r.p_score;
-    row.p_star = metrics::PScore(
-        r.mean_tps, ActualPerMinute(rig.cluster.get(), r.window_start_s,
-                                    r.window_end_s));
-    row.sim_seconds += rig.env.Now().ToSeconds();
-  }
-
-  // ---- E1 / E1*: elasticity (large-spike pattern, serverless) ---------
-  {
-    SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-    cfg.seed = cell.seed;
-    SalesTransactionSet txns(cfg);
-    runner::CellSpec spec = WithReplicas(cell, 0);
-    spec.serverless = true;
-    spec.freeze_at_max = false;
-    spec.time_scale = kTimeScale;
-    runner::CellDeployment rig(spec, txns.Schemas());
-    ElasticityEvaluator::Options options;
-    options.tau = 110;
-    options.slot = sim::Seconds(60 * kTimeScale);
-    ElasticityResult r = ElasticityEvaluator::Run(
-        &rig.env, rig.cluster.get(), &txns, ElasticityPattern::kLargeSpike,
-        options);
-    row.scores.e1 = r.e1_score;
-    row.e1_star = metrics::E1Score(
-        r.mean_tps, ActualPerMinute(rig.cluster.get(), r.window_start_s,
-                                    r.window_end_s));
-    row.sim_seconds += rig.env.Now().ToSeconds();
-  }
-
-  // ---- E2: scale-out gain per added RO node ---------------------------
-  {
-    std::vector<double> tps_by_nodes;
-    for (int nodes = 0; nodes <= 1; ++nodes) {
-      SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadOnly();
-      cfg.seed = cell.seed;
-      cfg.spread_reads_all_nodes = true;  // proxy-balanced reads
-      SalesTransactionSet txns(cfg);
-      runner::CellDeployment rig(WithReplicas(cell, nodes), txns.Schemas());
-      OltpEvaluator::Options options;
-      options.concurrency = 150;
-      options.warmup = sim::Seconds(1);
-      options.measure = sim::Seconds(2);
-      tps_by_nodes.push_back(
-          OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options)
-              .mean_tps);
-      row.sim_seconds += rig.env.Now().ToSeconds();
-    }
-    // Normalized like the paper's small integers: gain per node per 1000.
-    row.scores.e2 = metrics::E2Score(tps_by_nodes) / 1000.0;
-  }
-
-  // ---- F / R: fail-over (RW + RO restarts) -----------------------------
-  {
-    std::vector<double> f_parts, r_parts;
-    for (bool fail_rw : {true, false}) {
-      // Same method as the Table VIII bench: full RW stream for the RW
-      // failure, replica-pinned read stream for the RO failure.
-      SalesWorkloadConfig cfg = fail_rw ? SalesWorkloadConfig::ReadWrite()
-                                        : SalesWorkloadConfig::ReadOnly();
-      cfg.seed = cell.seed;
-      cfg.route_reads_to_replicas = !fail_rw;
-      cfg.sticky_replica = !fail_rw;
-      SalesTransactionSet txns(cfg);
-      runner::CellDeployment rig(WithReplicas(cell, 1), txns.Schemas());
-      FailoverEvaluator::Options options;
-      options.concurrency = 150;
-      options.warmup = sim::Seconds(4);
-      options.fail_rw = fail_rw;
-      options.target_tps = -1;  // 90% of own pre-failure TPS
-      options.max_observation = sim::Seconds(80);
-      FailoverResult r = FailoverEvaluator::Run(&rig.env, rig.cluster.get(),
-                                                &txns, options);
-      if (r.service_lost) {
-        f_parts.push_back(r.f_seconds);
-        r_parts.push_back(r.r_seconds);
-      }
-      row.sim_seconds += rig.env.Now().ToSeconds();
-    }
-    row.scores.f = metrics::FScore(f_parts);
-    row.scores.r = metrics::RScore(r_parts);
-  }
-
-  // ---- C: replication lag (3 replicas, as Eq. 6's lambda divisor) ------
-  {
-    runner::CellDeployment rig(WithReplicas(cell, 3), sales::Schemas());
-    LagTimeEvaluator::Options options;
-    options.concurrency = 20;
-    options.measure = sim::Seconds(5);
-    options.seed = cell.seed;
-    row.scores.c =
-        LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options).c_score;
-    row.sim_seconds += rig.env.Now().ToSeconds();
-  }
-
-  // ---- T / T*: multi-tenancy (average over the four patterns) ----------
-  {
-    double t_sum = 0, t_star_sum = 0;
-    std::vector<TenancyPattern> patterns = AllTenancyPatterns();
-    for (TenancyPattern pattern : patterns) {
-      bool high = pattern == TenancyPattern::kHighContention ||
-                  pattern == TenancyPattern::kStaggeredHigh;
-      sim::Environment env;
-      MultiTenantDeployment deployment(&env, cell.sut, 3, cell.scale_factor,
-                                       kTimeScale);
-      MultiTenancyEvaluator::Options options;
-      options.slots = 3;
-      options.slot = sim::Seconds(60 * kTimeScale);
-      options.tau = high ? 330 : 100;
-      TenancyResult r =
-          MultiTenancyEvaluator::Run(&env, &deployment, pattern, options);
-      t_sum += r.t_score;
-      // T* prices the same deployment with the vendor's actual model.
-      cloud::ActualPricing pricing =
-          deployment.tenant(0)->config().actual_pricing;
-      double window_s =
-          static_cast<double>(options.slots) * options.slot.ToSeconds();
-      // The elastic pool bills at least one hour (scaled to the compressed
-      // control-plane timebase) — the quirk that demotes CDB2's T* in the
-      // paper.
-      double billed_s = window_s;
-      if (deployment.model() == TenancyModel::kElasticPool) {
-        billed_s = std::max(window_s, 3600.0 * kTimeScale);
-      }
-      cloud::CostBreakdown actual =
-          pricing.CostFor(deployment.TotalResources(), billed_s);
-      double actual_per_minute = actual.total() * 60.0 / window_s;
-      t_star_sum += metrics::TScore(r.tenant_tps, actual_per_minute);
-      row.sim_seconds += env.Now().ToSeconds();
-    }
-    row.scores.t = t_sum / static_cast<double>(patterns.size());
-    row.t_star = t_star_sum / static_cast<double>(patterns.size());
-  }
-
-  row.scores.FinalizeOScore();
-  row.o_star = metrics::OScore(row.p_star, row.t_star, row.e1_star,
-                               row.scores.e2, row.scores.r, row.scores.f,
-                               row.scores.c);
-  return row;
-}
-
-runner::CellResult EvaluateCell(const runner::CellContext& ctx) {
-  Row row = Evaluate(ctx.spec);
+/// P and E2: sales throughput at spec.concurrency. "RW" is the P stream;
+/// "RO" is E2's read stream, spread over every node (proxy-balanced reads).
+/// Columns: tps, p_score, p_star (P at the vendor's actual pricing).
+runner::CellResult RunThroughputCell(const runner::CellContext& ctx) {
+  const runner::CellSpec& spec = ctx.spec;
+  SalesWorkloadConfig cfg = runner::SalesConfigFor(spec);
+  cfg.spread_reads_all_nodes = spec.pattern == "RO";
+  SalesTransactionSet txns(cfg);
+  runner::CellDeployment rig(spec, txns.Schemas());
+  OltpEvaluator::Options options;
+  options.concurrency = spec.concurrency;
+  options.warmup = spec.warmup;
+  options.measure = spec.measure;
+  OltpResult r =
+      OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
+  cloud::CostBreakdown actual = rig.cluster->meter().ActualCost(
+      rig.cluster->config().actual_pricing, r.window_start_s, r.window_end_s);
   runner::CellResult result;
-  result.AddMetric("P", row.scores.p, 0);
-  result.AddMetric("P*", row.p_star, 0);
-  result.AddMetric("E1", row.scores.e1, 0);
-  result.AddMetric("E1*", row.e1_star, 0);
-  result.AddMetric("R", row.scores.r, 1);
-  result.AddMetric("F", row.scores.f, 1);
-  result.AddMetric("E2", row.scores.e2, 1);
-  result.AddMetric("C", row.scores.c, 1);
-  result.AddMetric("T", row.scores.t, 0);
-  result.AddMetric("T*", row.t_star, 0);
-  result.AddMetric("O", row.scores.o, 2);
-  result.AddMetric("O*", row.o_star, 2);
-  result.sim_seconds = row.sim_seconds;
+  result.AddMetric("tps", r.mean_tps, 0);
+  result.AddMetric("p_score", r.p_score, 0);
+  result.AddMetric(
+      "p_star",
+      metrics::PScore(r.mean_tps,
+                      actual.PerMinute(r.window_end_s - r.window_start_s)),
+      0);
+  result.sim_seconds = rig.env.Now().ToSeconds();
   return result;
+}
+
+/// Appends one SUT's sub-cell specs, in SubCell order.
+void AddSubCells(sut::SutKind kind, uint64_t seed,
+                 std::vector<runner::CellSpec>* cells) {
+  auto add = [&](const std::string& name, int n_ro, int concurrency,
+                 const std::string& pattern, double warmup_s,
+                 double measure_s) -> runner::CellSpec& {
+    runner::CellSpec& spec = cells->emplace_back();
+    spec.id = std::string(sut::SutName(kind)) + "/" + name;
+    spec.sut = kind;
+    spec.n_ro = n_ro;
+    spec.concurrency = concurrency;
+    spec.pattern = pattern;
+    spec.seed = seed;
+    spec.warmup = sim::Seconds(warmup_s);
+    spec.measure = sim::Seconds(measure_s);
+    return spec;
+  };
+  add("P", 0, 150, "RW", 1, 3);
+  // E1: tau 110, serverless SUTs autoscaling.
+  runner::CellSpec& e1 = add("E1", 0, 110, "RW", 1, 2);
+  e1.serverless = true;
+  e1.freeze_at_max = false;
+  e1.time_scale = kTimeScale;
+  add("E2/RO0", 0, 150, "RO", 1, 2);
+  add("E2/RO1", 1, 150, "RO", 1, 2);
+  add("F/RW", 1, 150, "RW", 4, 80);
+  add("F/RO", 1, 150, "RO", 4, 80);
+  add("C", 3, 20, "I60/U30/D10", 2, 5);  // 3 replicas: Eq. 6's divisor
+  for (TenancyPattern pattern : AllTenancyPatterns()) {
+    bool high = pattern == TenancyPattern::kHighContention ||
+                pattern == TenancyPattern::kStaggeredHigh;
+    add(std::string("T/") + TenancyPatternName(pattern), 0, high ? 330 : 100,
+        TenancyPatternName(pattern), 1, 2)
+        .time_scale = kTimeScale;
+  }
+}
+
+runner::CellResult RunSubCell(const runner::CellContext& ctx) {
+  size_t sub = ctx.index % kSubCells;
+  if (sub >= kTenancy) {
+    return runner::RunTenancyCell(ctx, AllTenancyPatterns()[sub - kTenancy]);
+  }
+  if (sub == kE1) {
+    return runner::RunElasticityCell(ctx, ElasticityPattern::kLargeSpike);
+  }
+  if (sub == kFailRw || sub == kFailRo) return runner::RunFailoverCell(ctx);
+  if (sub == kLag) return runner::RunLagCell(ctx, 60, 30, 10);
+  return RunThroughputCell(ctx);  // P, E2
+}
+
+/// Table IX's scores for one SUT from its sub-cell rows (SubCell order):
+/// at the unified resource unit cost, and with P, E1 and T — hence O —
+/// at the vendor's actual pricing (the starred columns).
+std::pair<metrics::Perfect, metrics::Perfect> Fold(
+    std::span<const runner::CellResult> rows) {
+  metrics::Perfect ruc;
+  ruc.p = rows[kP].Number("p_score");
+  ruc.e1 = rows[kE1].Number("e1_score");
+  // Normalized like the paper's small integers: gain per node per 1000.
+  ruc.e2 = metrics::E2Score({rows[kE2Ro0].Number("tps"),
+                             rows[kE2Ro1].Number("tps")}) /
+           1000.0;
+  std::vector<double> f_parts, r_parts;
+  for (size_t i : {kFailRw, kFailRo}) {
+    if (rows[i].Number("service_lost") == 1) {
+      f_parts.push_back(rows[i].Number("f_s"));
+      r_parts.push_back(rows[i].Number("r_s"));
+    }
+  }
+  ruc.f = metrics::FScore(f_parts);
+  ruc.r = metrics::RScore(r_parts);
+  ruc.c = rows[kLag].Number("c_score");
+  // T / T*: the average over the four tenancy patterns.
+  double t_sum = 0, t_star_sum = 0;
+  for (size_t i = kTenancy; i < kSubCells; ++i) {
+    t_sum += rows[i].Number("t_score");
+    t_star_sum += rows[i].Number("t_star");
+  }
+  ruc.t = t_sum / static_cast<double>(kSubCells - kTenancy);
+  metrics::Perfect actual = ruc;
+  actual.p = rows[kP].Number("p_star");
+  actual.e1 = rows[kE1].Number("e1_star");
+  actual.t = t_star_sum / static_cast<double>(kSubCells - kTenancy);
+  ruc.FinalizeOScore();
+  actual.FinalizeOScore();
+  return {ruc, actual};
 }
 
 void Run(const BenchArgs& args) {
   std::vector<sut::SutKind> suts = sut::AllSuts();
   std::vector<runner::CellSpec> cells;
-  for (sut::SutKind kind : suts) {
-    runner::CellSpec spec;
-    spec.sut = kind;
-    spec.pattern = "PERFECT";
-    spec.seed = args.seed;
-    cells.push_back(spec);
-  }
+  for (sut::SutKind kind : suts) AddSubCells(kind, args.seed, &cells);
   std::vector<runner::CellResult> results =
-      runner::MatrixRunner(args.runner).Run(cells, EvaluateCell);
+      runner::MatrixRunner(args.runner).Run(cells, RunSubCell);
 
   std::printf(
       "=== Table IX: overall PERFECT scores; (X)* uses vendor actual "
       "pricing ===\n\n");
-  std::vector<std::string> columns = {"P",  "P*", "E1", "E1*", "R",  "F",
-                                      "E2", "C",  "T",  "T*",  "O",  "O*"};
-  util::TablePrinter table([&] {
-    std::vector<std::string> headers{"System"};
-    headers.insert(headers.end(), columns.begin(), columns.end());
-    return headers;
-  }());
+  util::TablePrinter table({"System", "P", "P*", "E1", "E1*", "R", "F", "E2",
+                            "C", "T", "T*", "O", "O*"});
   for (size_t s = 0; s < suts.size(); ++s) {
-    const runner::CellResult& r = results[s];
+    std::span<const runner::CellResult> rows(&results[s * kSubCells],
+                                             kSubCells);
     std::vector<std::string> row{sut::SutName(suts[s])};
-    for (const std::string& column : columns) {
-      row.push_back(r.ok ? r.Text(column) : "ERR");
+    if (std::all_of(rows.begin(), rows.end(),
+                    [](const runner::CellResult& r) { return r.ok; })) {
+      auto [ruc, actual] = Fold(rows);
+      row.insert(row.end(),
+                 {F0(ruc.p), F0(actual.p), F0(ruc.e1), F0(actual.e1),
+                  F1(ruc.r), F1(ruc.f), F1(ruc.e2), F1(ruc.c), F0(ruc.t),
+                  F0(actual.t), F2(ruc.o), F2(actual.o)});
+    } else {
+      row.resize(13, "ERR");  // every column
     }
     table.AddRow(row);
   }

@@ -2,7 +2,16 @@
 
 #include <algorithm>
 
+#include "util/logging.h"
+
 namespace cloudybench::cloud {
+
+CostBreakdown CostBreakdown::PerMinute(double window_seconds) const {
+  CB_CHECK_GT(window_seconds, 0.0);
+  double k = 60.0 / window_seconds;
+  return CostBreakdown{cpu * k, memory * k, storage * k, iops * k,
+                       network * k};
+}
 
 CostBreakdown PriceBook::CostPerHour(const ResourceVector& r) const {
   CostBreakdown c;

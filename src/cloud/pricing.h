@@ -54,6 +54,10 @@ struct CostBreakdown {
     network += o.network;
     return *this;
   }
+
+  /// This cost, accrued over `window_seconds`, as dollars per minute (the
+  /// unit of Table V and of the score formulas), component by component.
+  CostBreakdown PerMinute(double window_seconds) const;
 };
 
 /// The paper's Resource Unit Cost model (§II-F, Table III): standard

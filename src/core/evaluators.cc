@@ -9,18 +9,6 @@
 
 namespace cloudybench {
 
-namespace {
-/// Scales a window cost to dollars per minute.
-cloud::CostBreakdown PerMinute(const cloud::CostBreakdown& window_cost,
-                               double window_seconds) {
-  CB_CHECK_GT(window_seconds, 0.0);
-  double k = 60.0 / window_seconds;
-  return cloud::CostBreakdown{window_cost.cpu * k, window_cost.memory * k,
-                              window_cost.storage * k, window_cost.iops * k,
-                              window_cost.network * k};
-}
-}  // namespace
-
 OltpResult OltpEvaluator::Run(sim::Environment* env, cloud::Cluster* cluster,
                               TransactionSet* txns, const Options& options) {
   PerformanceCollector collector(env);
@@ -43,8 +31,7 @@ OltpResult OltpEvaluator::Run(sim::Environment* env, cloud::Cluster* cluster,
   result.p99_latency_ms = collector.latency_all().p99() / 1000.0;
   result.commits = collector.commits();
   result.aborts = collector.aborts();
-  result.cost_per_minute =
-      PerMinute(cluster->meter().RucCost(t0, t1), t1 - t0);
+  result.cost_per_minute = cluster->meter().RucCost(t0, t1).PerMinute(t1 - t0);
   result.p_score = metrics::PScore(result.mean_tps, result.cost_per_minute);
   result.buffer_hit_rate = cluster->rw()->buffer().hit_rate();
   result.window_start_s = t0;
@@ -109,7 +96,7 @@ ElasticityResult ElasticityEvaluator::RunSchedule(
   }
   result.total_cost = cluster->meter().RucCost(start_s, window_end_s);
   result.cost_per_minute =
-      PerMinute(result.total_cost, result.cost_window_seconds);
+      result.total_cost.PerMinute(result.cost_window_seconds);
   result.e1_score = metrics::E1Score(result.mean_tps, result.cost_per_minute);
   result.window_start_s = start_s;
   result.window_end_s = window_end_s;

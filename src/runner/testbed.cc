@@ -1,8 +1,10 @@
 #include "runner/testbed.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/evaluators.h"
@@ -27,6 +29,14 @@ const char* kSlotConKeys[] = {"first_con",  "second_con", "third_con",
                               "fourth_con", "fifth_con",  "sixth_con",
                               "seventh_con", "eighth_con"};
 
+/// Props keys whose value must be one of a fixed `|`-separated set.
+const std::pair<const char*, const char*> kChoiceKeys[] = {
+    {"workload.pattern", "readwrite|readonly|writeonly"},
+    {"workload.distribution", "uniform|latest"},
+    {"elasticity.pattern", "peak|spike|valley|zero"},
+    {"tenancy.pattern", "high|low|staggered_high|staggered_low"},
+    {"failover.node", "rw|ro"}};
+
 }  // namespace
 
 Testbed::Testbed(util::Properties props) : props_(std::move(props)) {}
@@ -34,6 +44,15 @@ Testbed::Testbed(util::Properties props) : props_(std::move(props)) {}
 util::Status Testbed::RunAll() {
   CB_ASSIGN_OR_RETURN(sut_name_, props_.RequireString("sut"));
   CB_ASSIGN_OR_RETURN(spec_.sut, sut::ParseSut(sut_name_));
+  for (const auto& [key, accepted] : kChoiceKeys) {
+    std::string value = util::ToLower(props_.GetString(key, ""));
+    std::vector<std::string> names = util::Split(accepted, '|');
+    if (props_.Has(key) &&
+        std::find(names.begin(), names.end(), value) == names.end()) {
+      return Status::InvalidArgument(std::string(key) + " = '" + value +
+                                     "': expected one of " + accepted);
+    }
+  }
   spec_.scale_factor = props_.GetInt("scale_factor", 1);
   spec_.n_ro = 1;
   std::printf("CloudyBench testbed — SUT %s, SF%lld, seed %lld\n\n",

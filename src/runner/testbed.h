@@ -18,7 +18,8 @@ namespace cloudybench::runner {
 /// section deploys through CellDeployment (runner/oltp_cell.h), like every
 /// bench cell.
 ///
-/// Recognized keys (all optional unless noted):
+/// Recognized keys (all optional unless noted); RunAll rejects any value
+/// outside a `|` list below (case-insensitive) before any section runs.
 ///
 ///   sut                = rds | cdb1 | cdb2 | cdb3 | cdb4     (required)
 ///   scale_factor       = 1 | 10 | 100

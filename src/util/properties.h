@@ -19,7 +19,7 @@ namespace cloudybench::util {
 ///   [elasticity]                 ; section -> "elasticity." key prefix
 ///   elastic_testTime = 3
 ///   first_con  = 11
-///   pattern    = "large_spike"   ; quoted or bare strings
+///   pattern    = "spike"         ; quoted or bare strings
 ///   slots      = [11, 88, 11]    ; arrays of scalars
 ///
 /// Keys are case-sensitive. Later assignments override earlier ones, so a

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -456,6 +457,33 @@ TEST(TestbedTest, UnknownSutIsError) {
   props.Set("sut", "oracle");
   runner::Testbed testbed(std::move(props));
   EXPECT_EQ(testbed.RunAll().code(), util::StatusCode::kInvalidArgument);
+}
+
+TEST(TestbedTest, UnknownChoiceValueIsErrorNamingKeyAndChoices) {
+  struct Case {
+    const char* key;
+    const char* value;
+    const char* accepted;
+  };
+  for (const Case& c : std::vector<Case>{
+           {"workload.pattern", "readmostly", "readwrite|readonly|writeonly"},
+           {"workload.distribution", "zipf", "uniform|latest"},
+           {"elasticity.pattern", "large_spike", "peak|spike|valley|zero"},
+           {"tenancy.pattern", "medium",
+            "high|low|staggered_high|staggered_low"},
+           {"failover.node", "standby", "rw|ro"}}) {
+    SCOPED_TRACE(c.key);
+    util::Properties props;
+    props.Set("sut", "cdb3");
+    props.Set("oltp.enable", "false");  // nothing else would fail the run
+    props.Set(c.key, c.value);
+    runner::Testbed testbed(std::move(props));
+    util::Status status = testbed.RunAll();
+    EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+    for (const char* part : {c.key, c.value, c.accepted}) {
+      EXPECT_NE(status.message().find(part), std::string::npos) << status;
+    }
+  }
 }
 
 // ------------------------------------------------------------ E2 plumbing

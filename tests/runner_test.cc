@@ -11,8 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/evaluators.h"
+#include "core/metrics.h"
+#include "core/tenancy.h"
 #include "runner/oltp_cell.h"
 #include "runner/runner.h"
+#include "runner/section_cells.h"
 #include "runner/sharded_cell.h"
 #include "util/logging.h"
 #include "util/random.h"
@@ -427,6 +431,142 @@ TEST(ShardedCellTest, TenantsMatchStandaloneSingleTenantCells) {
   }
   EXPECT_NEAR(merged.Number("tps"), tps_sum, 1e-6);
   EXPECT_NEAR(merged.Number("commits"), commits_sum, 1e-6);
+}
+
+// ---- Section cells (runner/section_cells.h) -------------------------------
+//
+// Each shared section cell must report exactly what a direct evaluator run
+// on a CellDeployment of the same spec measures: the section benches and
+// Table IX fold these raw values, so the cell may add columns but never
+// change a number.
+
+/// Runs one cell on a one-worker runner (fresh thread-local state).
+CellResult RunCell(const CellSpec& spec, const CellFn& fn) {
+  RunnerOptions options;
+  options.jobs = 1;
+  options.print_summary = false;
+  CellResult result = MatrixRunner(options).Run({spec}, fn)[0];
+  EXPECT_TRUE(result.ok) << result.error;
+  return result;
+}
+
+TEST(SectionCellTest, FailoverCellMatchesEvaluatorAndReportsServiceLost) {
+  for (const char* node : {"RW", "RO"}) {
+    SCOPED_TRACE(node);
+    CellSpec spec;
+    spec.sut = sut::SutKind::kCdb4;
+    spec.n_ro = 1;
+    spec.concurrency = 20;
+    spec.pattern = node;
+    spec.warmup = sim::Millis(500);
+    spec.measure = sim::Millis(1500);
+    CellResult cell = RunCell(spec, RunFailoverCell);
+
+    bool fail_rw = spec.pattern == "RW";
+    SalesWorkloadConfig cfg = SalesConfigFor(spec);
+    cfg.route_reads_to_replicas = !fail_rw;
+    cfg.sticky_replica = !fail_rw;
+    SalesTransactionSet txns(cfg);
+    CellDeployment rig(spec, txns.Schemas());
+    FailoverEvaluator::Options options;
+    options.concurrency = spec.concurrency;
+    options.warmup = spec.warmup;
+    options.fail_rw = fail_rw;
+    options.max_observation = spec.measure;
+    FailoverResult r =
+        FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
+
+    ASSERT_TRUE(r.service_lost);
+    EXPECT_EQ(cell.Number("service_lost", -1), 1.0);
+    EXPECT_EQ(cell.Number("f_s", -1), r.f_seconds);
+    EXPECT_EQ(cell.Number("r_s", -1), r.r_seconds);
+  }
+}
+
+TEST(SectionCellTest, LagCellMatchesEvaluator) {
+  CellSpec spec;
+  spec.sut = sut::SutKind::kCdb3;
+  spec.n_ro = 1;
+  spec.concurrency = 10;
+  spec.warmup = sim::Millis(500);
+  spec.measure = sim::Millis(500);
+  CellResult cell = RunCell(spec, [](const CellContext& ctx) {
+    return RunLagCell(ctx, 60, 30, 10);
+  });
+
+  CellDeployment rig(spec, sales::Schemas());
+  LagTimeEvaluator::Options options;
+  options.concurrency = spec.concurrency;
+  options.warmup = spec.warmup;
+  options.measure = spec.measure;
+  options.seed = spec.seed;
+  LagTimeResult r = LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
+
+  EXPECT_GT(r.c_score, 0);
+  EXPECT_EQ(cell.Number("insert_lag_ms", -1), r.insert_lag_ms);
+  EXPECT_EQ(cell.Number("update_lag_ms", -1), r.update_lag_ms);
+  EXPECT_EQ(cell.Number("delete_lag_ms", -1), r.delete_lag_ms);
+  EXPECT_EQ(cell.Number("c_score", -1), r.c_score);
+}
+
+TEST(SectionCellTest, ElasticityCellMatchesEvaluatorAndReportsE1Star) {
+  CellSpec spec;
+  spec.sut = sut::SutKind::kCdb3;
+  spec.concurrency = 20;
+  spec.serverless = true;
+  spec.freeze_at_max = false;
+  spec.time_scale = 0.01;  // 0.6 s slots
+  CellResult cell = RunCell(spec, [](const CellContext& ctx) {
+    return RunElasticityCell(ctx, ElasticityPattern::kLargeSpike);
+  });
+
+  SalesTransactionSet txns(SalesConfigFor(spec));
+  CellDeployment rig(spec, txns.Schemas());
+  ElasticityEvaluator::Options options;
+  options.tau = spec.concurrency;
+  options.slot = sim::Seconds(60 * spec.time_scale);
+  ElasticityResult r = ElasticityEvaluator::Run(
+      &rig.env, rig.cluster.get(), &txns, ElasticityPattern::kLargeSpike,
+      options);
+  cloud::CostBreakdown actual = rig.cluster->meter().ActualCost(
+      rig.cluster->config().actual_pricing, r.window_start_s, r.window_end_s);
+
+  EXPECT_GT(r.mean_tps, 0);
+  EXPECT_EQ(cell.Number("tps", -1), r.mean_tps);
+  EXPECT_EQ(cell.Number("total_cost", -1), r.total_cost.total());
+  EXPECT_EQ(cell.Number("e1_score", -1), r.e1_score);
+  EXPECT_EQ(cell.Number("e1_star", -1),
+            metrics::E1Score(r.mean_tps, actual.PerMinute(r.window_end_s -
+                                                          r.window_start_s)));
+}
+
+TEST(SectionCellTest, TenancyCellMatchesEvaluatorAndReportsTStar) {
+  CellSpec spec;
+  spec.sut = sut::SutKind::kCdb2;  // the elastic pool: T* bills its minimum
+  spec.concurrency = 20;
+  spec.pattern = "Staggered High";
+  spec.time_scale = 0.01;  // 0.6 s slots
+  CellResult cell = RunCell(spec, [](const CellContext& ctx) {
+    return RunTenancyCell(ctx, TenancyPattern::kStaggeredHigh);
+  });
+
+  sim::Environment env;
+  MultiTenantDeployment deployment(&env, spec.sut, 3, spec.scale_factor,
+                                   spec.time_scale);
+  MultiTenancyEvaluator::Options options;
+  options.slots = kTenancySlots;
+  options.slot = sim::Seconds(60 * spec.time_scale);
+  options.tau = spec.concurrency;
+  TenancyResult r = MultiTenancyEvaluator::Run(
+      &env, &deployment, TenancyPattern::kStaggeredHigh, options);
+
+  EXPECT_GT(r.total_tps, 0);
+  EXPECT_EQ(cell.Number("tps", -1), r.total_tps);
+  EXPECT_EQ(cell.Number("t_score", -1), r.t_score);
+  EXPECT_EQ(cell.Number("cost_per_min", -1), r.cost_per_minute.total());
+  // T* prices the pool's one-hour minimum, so it sits below T.
+  EXPECT_GT(cell.Number("t_star", -1), 0);
+  EXPECT_LT(cell.Number("t_star", -1), r.t_score);
 }
 
 }  // namespace
