@@ -1,19 +1,21 @@
-// Multi-core tenant-sharded cell scaling ladder (DESIGN.md §4k).
+// Multi-tenant cell scaling ladder (DESIGN.md §4k).
 //
-// One large multi-tenant OLTP cell is executed at a ladder of
-// --cell-shards values (default 1/2/4/8, capped at the tenant count); each
-// step must produce the byte-identical merged result row, and the bench
-// CB_CHECKs that before printing anything. The deterministic merged table
-// goes to stdout; wall times and the speedup ladder go to stderr, so
-// stdout can be byte-diffed across shard counts and --jobs by
+// One large multi-tenant OLTP row — every tenant an ordinary runner cell
+// (runner::TenantSpec), the row a pure fold of theirs
+// (runner::MergeTenantRows) — is executed at a ladder of --jobs values
+// (default 1/2/4/8, capped at the tenant count); each step must merge to
+// the byte-identical row, and the bench CB_CHECKs that before printing
+// anything. The merged table goes to stdout; wall times and the speedup
+// ladder go to stderr, so stdout can be byte-diffed across --jobs by
 // scripts/check.sh.
 //
-//   --cell-shards=N  run the single shard count N instead of the ladder
-//                    (stdout stays the same bytes as any other N)
-//   --tenants=N      tenant count of the big cell (default 8)
-//   --smoke          tiny windows + 4 tenants + ladder {1,2} for CI
-//   --jsonl=PATH     merged result row via the runner's JSONL artifact
+//   --jobs=N     run the single step N instead of the ladder
+//                (stdout stays the same bytes as any other N)
+//   --tenants=N  tenant count of the big row (default 8)
+//   --smoke      tiny windows + 4 tenants + ladder {1,2} for CI
+//   --jsonl=PATH the tenant rows via the runner's JSONL artifact
 
+#include <chrono>
 #include <cstdio>
 
 #include "bench_common.h"
@@ -23,11 +25,12 @@ namespace {
 
 struct ScalingConfig {
   int tenants = 8;
-  std::vector<int> ladder;  ///< shard counts to run, in order
+  std::vector<int> ladder;  ///< --jobs values to run, in order
   runner::CellSpec cell;
+  std::vector<runner::CellSpec> tenant_cells;
 };
 
-runner::CellSpec MakeCell(const BenchArgs& args, bool smoke, int tenants) {
+runner::CellSpec MakeCell(const BenchArgs& args, bool smoke) {
   runner::CellSpec spec;
   spec.sut = sut::SutKind::kCdb3;
   spec.scale_factor = args.full ? 10 : 1;
@@ -37,24 +40,26 @@ runner::CellSpec MakeCell(const BenchArgs& args, bool smoke, int tenants) {
   spec.seed = args.seed;
   spec.warmup = smoke ? sim::Millis(500) : sim::Seconds(1);
   spec.measure = smoke ? sim::Seconds(1) : sim::Seconds(2);
-  spec.tenants = tenants;
   return spec;
 }
 
-/// Runs the cell at one shard count through the MatrixRunner (the
-/// production path: worker isolation, artifact plumbing, JSONL). Returns
-/// the merged row.
+/// Runs the tenant cells on one MatrixRunner at `jobs` workers (the
+/// production path: worker isolation, artifact plumbing, JSONL) and
+/// returns the merged row, its wall_ms set to the whole step's wall time.
 runner::CellResult RunAt(const ScalingConfig& cfg, const BenchArgs& args,
-                         int shards, bool write_jsonl) {
-  runner::CellSpec spec = cfg.cell;
-  spec.cell_shards = shards;
+                         int jobs, bool write_jsonl) {
   runner::RunnerOptions options = args.runner;
+  options.jobs = jobs;
   options.print_summary = false;
   if (!write_jsonl) options.jsonl_path.clear();
-  std::vector<runner::CellResult> results =
-      runner::MatrixRunner(options).Run({spec}, runner::RunOltpCell);
-  CB_CHECK_EQ(results.size(), 1u);
-  return results[0];
+  auto wall0 = std::chrono::steady_clock::now();
+  runner::CellResult merged = runner::MergeTenantRows(
+      cfg.cell, runner::MatrixRunner(options).Run(cfg.tenant_cells,
+                                                  runner::RunOltpCell));
+  merged.wall_ms = std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - wall0)
+                       .count();
+  return merged;
 }
 
 void PrintMergedTable(const runner::CellResult& r, int tenants) {
@@ -87,22 +92,21 @@ void Run(const ScalingConfig& cfg, const BenchArgs& args) {
   runner::CellResult first;
   std::vector<double> walls;
   for (size_t step = 0; step < cfg.ladder.size(); ++step) {
-    int shards = cfg.ladder[step];
-    runner::CellResult r = RunAt(cfg, args, shards,
-                                 /*write_jsonl=*/step == 0);
+    int jobs = cfg.ladder[step];
+    runner::CellResult r = RunAt(cfg, args, jobs, /*write_jsonl=*/step == 0);
     std::string row = runner::ToJsonLine(r);
     if (step == 0) {
       reference = row;
       first = r;
     } else {
       CB_CHECK(row == reference)
-          << "merged row diverged at --cell-shards=" << shards;
+          << "merged row diverged at --jobs=" << jobs;
     }
     walls.push_back(r.wall_ms);
     std::fprintf(stderr,
-                 "[cell-scaling] tenants=%d shards=%d wall=%.2fs "
+                 "[cell-scaling] tenants=%d jobs=%d wall=%.2fs "
                  "speedup=%.2fx\n",
-                 cfg.tenants, shards, r.wall_ms / 1e3,
+                 cfg.tenants, jobs, r.wall_ms / 1e3,
                  walls[0] / std::max(r.wall_ms, 1e-9));
   }
   PrintMergedTable(first, cfg.tenants);
@@ -113,12 +117,10 @@ void Run(const ScalingConfig& cfg, const BenchArgs& args) {
 
 int main(int argc, char** argv) {
   using namespace cloudybench;
-  std::string shards_flag, tenants_flag, smoke_flag;
+  std::string tenants_flag, smoke_flag;
   bench::BenchArgs args = bench::BenchArgs::Parse(
       argc, argv,
-      {{"--cell-shards=", &shards_flag,
-        "run one shard count instead of the 1/2/4/8 ladder"},
-       {"--tenants=", &tenants_flag, "tenants in the big cell (default 8)"},
+      {{"--tenants=", &tenants_flag, "tenants in the big row (default 8)"},
        {"--smoke", &smoke_flag, "tiny CI run: 4 tenants, ladder {1,2}"}});
 
   bench::ScalingConfig cfg;
@@ -130,18 +132,18 @@ int main(int argc, char** argv) {
         << "bad --tenants (want 1..256)";
     cfg.tenants = static_cast<int>(v);
   }
-  if (!shards_flag.empty()) {
-    int64_t v = 0;
-    CB_CHECK(util::ParseInt64(shards_flag, &v) && v >= 0 && v <= 4096)
-        << "bad --cell-shards (want 0..4096; 0 = all hardware threads)";
-    cfg.ladder = {static_cast<int>(v)};
+  if (args.runner.jobs > 0) {
+    cfg.ladder = {args.runner.jobs};
   } else {
-    for (int shards : smoke ? std::vector<int>{1, 2}
-                            : std::vector<int>{1, 2, 4, 8}) {
-      if (shards <= cfg.tenants) cfg.ladder.push_back(shards);
+    for (int jobs : smoke ? std::vector<int>{1, 2}
+                          : std::vector<int>{1, 2, 4, 8}) {
+      if (jobs <= cfg.tenants) cfg.ladder.push_back(jobs);
     }
   }
-  cfg.cell = bench::MakeCell(args, smoke, cfg.tenants);
+  cfg.cell = bench::MakeCell(args, smoke);
+  for (int i = 0; i < cfg.tenants; ++i) {
+    cfg.tenant_cells.push_back(runner::TenantSpec(cfg.cell, i));
+  }
   bench::Run(cfg, args);
   return 0;
 }

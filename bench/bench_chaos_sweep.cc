@@ -24,17 +24,6 @@
 namespace cloudybench::bench {
 namespace {
 
-fault::FaultPlan ParsePlanOrDie(const char* argv0, const std::string& text) {
-  util::Result<fault::FaultPlan> plan = fault::ParseFaultPlan(text);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s: bad fault plan: %s\n%s\n", argv0,
-                 plan.status().message().c_str(),
-                 fault::FaultPlanHelp().c_str());
-    std::exit(2);
-  }
-  return *std::move(plan);
-}
-
 /// The oracle names in report order, for stable per-oracle columns.
 constexpr const char* kOracleNames[] = {"durability", "conservation",
                                         "convergence", "breaker", "timeline"};
@@ -101,7 +90,9 @@ int Run(const char* argv0, const BenchArgs& args,
   std::vector<chaos::ChaosCase> cases;
   std::vector<runner::CellSpec> cells;
   if (!custom_plan.empty()) {
-    fault::FaultPlan plan = ParsePlanOrDie(argv0, custom_plan);
+    fault::FaultPlan plan = PlanOrExit(fault::ParseFaultPlan(custom_plan),
+                                       argv0, "fault plan",
+                                       fault::FaultPlanHelp());
     for (size_t s = 0; s < suts.size(); ++s) {
       chaos::ChaosCase chaos_case;
       chaos_case.case_seed = args.seed;
@@ -217,7 +208,14 @@ int main(int argc, char** argv) {
   int n_plans = 50;
   if (args.full) n_plans = 100;
   if (!smoke.empty()) n_plans = 25;
-  if (!plans.empty()) n_plans = std::atoi(plans.c_str());
+  if (!plans.empty()) {
+    int64_t v = 0;
+    if (!cloudybench::util::ParseInt64(plans, &v) || v < 1 || v > 10000) {
+      args.UsageError(std::string(argv[0]) + ": bad --plans '" + plans +
+                      "' (want 1..10000)");
+    }
+    n_plans = static_cast<int>(v);
+  }
   return cloudybench::bench::Run(argv[0], args, verdicts_path, faults,
                                  n_plans);
 }

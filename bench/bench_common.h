@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/collector.h"
@@ -16,6 +17,7 @@
 #include "runner/section_cells.h"
 #include "sut/profiles.h"
 #include "util/logging.h"
+#include "util/result.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
@@ -43,18 +45,27 @@ struct BenchArgs {
   bool full = false;
   uint64_t seed = 42;
   runner::RunnerOptions runner;
+  std::string usage;  ///< rendered usage text (every flag), for UsageError
 
-  static void PrintUsage(FILE* out, const char* argv0,
-                         const std::vector<BenchFlag>& flags) {
-    std::fprintf(out, "usage: %s", argv0);
+  static std::string Usage(const char* argv0,
+                           const std::vector<BenchFlag>& flags) {
+    std::string out = util::StringPrintf("usage: %s", argv0);
     for (const BenchFlag& flag : flags) {
-      std::fprintf(out, " [%s%s]", flag.prefix,
-                   util::EndsWith(flag.prefix, "=") ? "..." : "");
+      out += util::StringPrintf(" [%s%s]", flag.prefix,
+                                util::EndsWith(flag.prefix, "=") ? "..." : "");
     }
-    std::fprintf(out, "\n");
+    out += "\n";
     for (const BenchFlag& flag : flags) {
-      std::fprintf(out, "  %-10s %s\n", flag.prefix, flag.help);
+      out += util::StringPrintf("  %-10s %s\n", flag.prefix, flag.help);
     }
+    return out;
+  }
+
+  /// Prints `message` and the usage text to stderr and exits 2: the answer
+  /// to an unknown flag or a malformed flag value.
+  [[noreturn]] void UsageError(const std::string& message) const {
+    std::fprintf(stderr, "%s\n%s", message.c_str(), usage.c_str());
+    std::exit(2);
   }
 
   /// Parses argv; also quiets logging to warnings so the tables stay clean.
@@ -83,10 +94,11 @@ struct BenchArgs {
         {"--profile-chrome-template=", &o.profile_chrome_template,
          "per-cell merged-tree Chrome trace path (same placeholders)"}};
     flags.insert(flags.end(), extra.begin(), extra.end());
+    args.usage = Usage(argv[0], flags);
     for (int i = 1; i < argc; ++i) {
       std::string a = argv[i];
       if (a == "--help" || a == "-h") {
-        PrintUsage(stdout, argv[0], flags);
+        std::fputs(args.usage.c_str(), stdout);
         std::exit(0);
       }
       bool matched = false;
@@ -99,9 +111,8 @@ struct BenchArgs {
         }
       }
       if (matched) continue;
-      std::fprintf(stderr, "%s: unknown flag '%s'\n", argv[0], a.c_str());
-      PrintUsage(stderr, argv[0], flags);
-      std::exit(2);
+      args.UsageError(util::StringPrintf("%s: unknown flag '%s'", argv[0],
+                                         a.c_str()));
     }
     int64_t v = 0;
     CB_CHECK(util::ParseInt64(seed, &v)) << "bad --seed";
@@ -113,6 +124,20 @@ struct BenchArgs {
     return args;
   }
 };
+
+/// Unwraps a parsed --faults= / --arrivals= style plan, or prints
+/// "<argv0>: bad <label>: <error>" and the grammar `help` to stderr and
+/// exits 2 (the BenchArgs convention for malformed input).
+template <typename T>
+T PlanOrExit(util::Result<T> parsed, const char* argv0, const char* label,
+             const std::string& help) {
+  if (!parsed.ok()) {
+    std::fprintf(stderr, "%s: bad %s: %s\n%s\n", argv0, label,
+                 parsed.status().message().c_str(), help.c_str());
+    std::exit(2);
+  }
+  return std::move(parsed).value();
+}
 
 inline std::string F0(double v) { return util::FormatDouble(v, 0); }
 inline std::string F1(double v) { return util::FormatDouble(v, 1); }

@@ -22,19 +22,6 @@
 namespace cloudybench::bench {
 namespace {
 
-/// Parses a plan string or exits with usage + status 2 (BenchArgs
-/// convention: a malformed schedule must not silently run the wrong sweep).
-fault::FaultPlan ParsePlanOrDie(const char* argv0, const std::string& text) {
-  util::Result<fault::FaultPlan> plan = fault::ParseFaultPlan(text);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s: bad fault plan: %s\n%s\n", argv0,
-                 plan.status().message().c_str(),
-                 fault::FaultPlanHelp().c_str());
-    std::exit(2);
-  }
-  return *std::move(plan);
-}
-
 /// The fault window the evaluator brackets: from the first injection to the
 /// last clear, extended to cover restart-model recovery for crash kinds
 /// (which have no duration of their own) and clamped into the measurement.
@@ -111,7 +98,8 @@ void Run(const char* argv0, const BenchArgs& args,
   // before any simulation starts.
   std::vector<fault::FaultPlan> plans;
   for (const fault::Scenario& scenario : scenarios) {
-    plans.push_back(ParsePlanOrDie(argv0, scenario.plan));
+    plans.push_back(PlanOrExit(fault::ParseFaultPlan(scenario.plan), argv0,
+                               "fault plan", fault::FaultPlanHelp()));
   }
 
   std::vector<sut::SutKind> suts = sut::AllSuts();

@@ -23,7 +23,6 @@
 #include "obs/trace.h"
 #include "repl/replayer.h"
 #include "runner/oltp_cell.h"
-#include "runner/sharded_cell.h"
 #include "sim/environment.h"
 #include "sim/resource.h"
 #include "storage/buffer_pool.h"
@@ -525,15 +524,16 @@ void BM_ReplShipReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_ReplShipReplay);
 
-// ---- Tenant-sharded cells (DESIGN.md §4k) ---------------------------------
+// ---- Multi-tenant rows as tenant cells (DESIGN.md §4k) ---------------------
 
 void BM_CellParallelSpeedup(benchmark::State& state) {
-  // Whole-cell cost of the tenant-sharded runner path at 1 vs 2 shards: a
-  // tiny 2-tenant CDB3 cell, deploy + warmup + measure per iteration. On a
-  // multi-core host the /2 variant approaches half the /1 wall time (the
-  // tenants are embarrassingly parallel); bench_cell_scaling runs the full
-  // 1/2/4/8 ladder. The gate bands each variant's absolute cost so the
-  // sharded path cannot quietly regress.
+  // Whole-row cost of the multi-tenant path at --jobs 1 vs 2: a tiny
+  // 2-tenant CDB3 row run as 2 tenant cells on one MatrixRunner plus the
+  // merge, deploy + warmup + measure per iteration. On a multi-core host
+  // the /2 variant approaches half the /1 wall time (the tenants are
+  // embarrassingly parallel); bench_cell_scaling runs the full 1/2/4/8
+  // ladder. The gate bands each variant's absolute cost so the tenant path
+  // cannot quietly regress.
   util::SetLogLevel(util::LogLevel::kWarning);
   runner::CellSpec spec;
   spec.sut = sut::SutKind::kCdb3;
@@ -543,11 +543,15 @@ void BM_CellParallelSpeedup(benchmark::State& state) {
   spec.seed = 42;
   spec.warmup = sim::Millis(100);
   spec.measure = sim::Millis(300);
-  spec.tenants = 2;
-  spec.cell_shards = static_cast<int>(state.range(0));
-  runner::CellContext ctx{spec, 0, "", "", "", "", "", ""};
+  std::vector<runner::CellSpec> tenants = {runner::TenantSpec(spec, 0),
+                                           runner::TenantSpec(spec, 1)};
+  runner::RunnerOptions options;
+  options.jobs = static_cast<int>(state.range(0));
+  options.print_summary = false;
+  runner::MatrixRunner matrix(options);
   for (auto _ : state) {
-    runner::CellResult result = runner::RunTenantShardedCell(ctx);
+    runner::CellResult result = runner::MergeTenantRows(
+        spec, matrix.Run(tenants, runner::RunOltpCell));
     benchmark::DoNotOptimize(result);
   }
 }

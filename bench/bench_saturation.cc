@@ -25,31 +25,6 @@
 namespace cloudybench::bench {
 namespace {
 
-/// Parses an arrival plan or exits with usage + status 2 (the --faults=
-/// convention: a malformed schedule must not silently run the wrong sweep).
-load::ArrivalPlan ParseArrivalsOrDie(const char* argv0,
-                                     const std::string& text) {
-  util::Result<load::ArrivalPlan> plan = load::ParseArrivalPlan(text);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s: bad arrival plan: %s\n%s\n", argv0,
-                 plan.status().message().c_str(),
-                 load::ArrivalPlanHelp().c_str());
-    std::exit(2);
-  }
-  return *std::move(plan);
-}
-
-fault::FaultPlan ParseFaultsOrDie(const char* argv0, const std::string& text) {
-  util::Result<fault::FaultPlan> plan = fault::ParseFaultPlan(text);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "%s: bad fault plan: %s\n%s\n", argv0,
-                 plan.status().message().c_str(),
-                 fault::FaultPlanHelp().c_str());
-    std::exit(2);
-  }
-  return *std::move(plan);
-}
-
 /// One ladder rung: a label for tables/ids and the plan it runs.
 struct Rung {
   std::string label;
@@ -106,7 +81,9 @@ void Run(const char* argv0, const BenchArgs& args, const std::string& arrivals,
   // (jobs=1 vs jobs=2 must produce identical bytes).
   std::vector<Rung> rungs;
   if (!arrivals.empty()) {
-    rungs.push_back({"custom", ParseArrivalsOrDie(argv0, arrivals)});
+    rungs.push_back({"custom", PlanOrExit(load::ParseArrivalPlan(arrivals),
+                                          argv0, "arrival plan",
+                                          load::ArrivalPlanHelp())});
   } else {
     // Rungs bracket the knee: every SUT absorbs the low rungs with
     // single-digit in-flight sessions; the top rungs exceed sustainable
@@ -131,7 +108,8 @@ void Run(const char* argv0, const BenchArgs& args, const std::string& arrivals,
   }
   fault::FaultPlan fault_plan;
   if (!faults_text.empty()) {
-    fault_plan = ParseFaultsOrDie(argv0, faults_text);
+    fault_plan = PlanOrExit(fault::ParseFaultPlan(faults_text), argv0,
+                            "fault plan", fault::FaultPlanHelp());
   }
 
   std::vector<sut::SutKind> suts = sut::AllSuts();

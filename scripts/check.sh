@@ -3,7 +3,7 @@
 # then again with AddressSanitizer and ThreadSanitizer
 # (-DCLOUDYBENCH_SANITIZE=...), plus the matrix-runner determinism smokes:
 # bench_runner_demo, the fault matrix, the open-loop saturation bench, the
-# tenant-sharded cell, the chaos sweep and Table IX must produce byte-identical
+# multi-tenant row, the chaos sweep and Table IX must produce byte-identical
 # stdout (and JSONL / timeline CSV / profile / verdict artifacts) at
 # --jobs=1 and --jobs=2. The chaos sweep doubles as a correctness gate:
 # it exits non-zero when any end-to-end oracle fails, and the ASan suite
@@ -43,18 +43,18 @@ run_suite() {
 # Row: label | bench | args of both runs | args of run 1 | args of run 2.
 # @OUT@ expands to the run's own directory, which is diffed whole. The
 # rows cover DESIGN.md §4d (runner), §4e (timeline), §4j (profile), §4g
-# (fault), §4h (load), §4k (tenant shards: --cell-shards=1 vs 2, serially
-# and on two workers) and §4l (chaos, with the per-oracle verdict rows; the
-# sweep exits non-zero when an oracle fails, so that row is also a
-# correctness gate) and Table IX (55 sub-cells of five kinds).
+# (fault), §4h (load), §4k (a multi-tenant row: tenant cells plus the
+# MergeTenantRows fold, with the tenant rows in the JSONL) and §4l (chaos,
+# with the per-oracle verdict rows; the sweep exits non-zero when an oracle
+# fails, so that row is also a correctness gate) and Table IX (55 sub-cells
+# of five kinds).
 DETERMINISM_ROWS=(
   "runner|bench_runner_demo||--jobs=1|--jobs=2"
   "timeline|bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
   "profile|bench_runner_demo|--profile-collapsed-template=@OUT@/{id}.collapsed.txt --profile-chrome-template=@OUT@/{id}.trace.json|--jobs=1|--jobs=2"
   "fault|bench_fault_matrix|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "load|bench_saturation|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
-  "cell_shards|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--cell-shards=1 --jobs=1|--cell-shards=2 --jobs=1"
-  "cell_jobs|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--cell-shards=1 --jobs=1|--cell-shards=2 --jobs=2"
+  "cell_jobs|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "chaos|bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
   "table9|bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
 )

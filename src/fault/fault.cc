@@ -117,18 +117,6 @@ Status Validate(const FaultSpec& spec) {
   return Status::OK();
 }
 
-std::string FormatDuration(sim::SimTime t) {
-  std::ostringstream out;
-  if (t.us % 1000000 == 0) {
-    out << t.us / 1000000 << "s";
-  } else if (t.us % 1000 == 0) {
-    out << t.us / 1000 << "ms";
-  } else {
-    out << t.us << "us";
-  }
-  return out.str();
-}
-
 /// Every parse error carries the byte offset (within the full --faults=
 /// string) and the offending token, so a bad spec buried in a long plan is
 /// findable without bisecting.
@@ -150,8 +138,8 @@ const char* FaultKindName(FaultKind kind) {
 std::string FaultSpec::ToString() const {
   std::ostringstream out;
   out << FaultKindName(kind) << " target=" << target
-      << " at=" << FormatDuration(at);
-  if (duration.us > 0) out << " duration=" << FormatDuration(duration);
+      << " at=" << sim::FormatDuration(at);
+  if (duration.us > 0) out << " duration=" << sim::FormatDuration(duration);
   if (magnitude > 0.0) out << " magnitude=" << magnitude;
   return out.str();
 }
@@ -159,8 +147,8 @@ std::string FaultSpec::ToString() const {
 std::string FaultSpec::ToSpecString() const {
   std::ostringstream out;
   out << "kind=" << FaultKindName(kind) << ",target=" << target
-      << ",at=" << FormatDuration(at);
-  if (duration.us > 0) out << ",duration=" << FormatDuration(duration);
+      << ",at=" << sim::FormatDuration(at);
+  if (duration.us > 0) out << ",duration=" << sim::FormatDuration(duration);
   if (magnitude > 0.0) {
     out << ",magnitude=";
     // Integral magnitudes print without a decimal point so the string is
@@ -200,36 +188,6 @@ std::string FaultPlan::ToPlanString() const {
     out += spec.ToSpecString();
   }
   return out;
-}
-
-Result<sim::SimTime> ParseDuration(std::string_view text) {
-  size_t digits = 0;
-  double scale = 0.0;
-  if (text.size() > 2 && text.substr(text.size() - 2) == "us") {
-    digits = text.size() - 2;
-    scale = 1.0;
-  } else if (text.size() > 2 && text.substr(text.size() - 2) == "ms") {
-    digits = text.size() - 2;
-    scale = 1e3;
-  } else if (text.size() > 1 && text.back() == 's') {
-    digits = text.size() - 1;
-    scale = 1e6;
-  } else {
-    return Status::InvalidArgument("duration '" + std::string(text) +
-                                   "' needs an s/ms/us suffix");
-  }
-  std::string number(text.substr(0, digits));
-  char* end = nullptr;
-  double value = std::strtod(number.c_str(), &end);
-  if (end != number.c_str() + number.size() || number.empty()) {
-    return Status::InvalidArgument("malformed duration '" + std::string(text) +
-                                   "'");
-  }
-  if (value < 0.0) {
-    return Status::InvalidArgument("negative duration '" + std::string(text) +
-                                   "'");
-  }
-  return sim::SimTime{static_cast<int64_t>(value * scale)};
 }
 
 namespace {
@@ -272,13 +230,13 @@ Result<FaultSpec> ParseFaultSpecAt(std::string_view text, size_t base) {
       spec.target = std::string(value);
       have_target = true;
     } else if (key == "at") {
-      Result<sim::SimTime> at = ParseDuration(value);
+      Result<sim::SimTime> at = sim::ParseDuration(value);
       if (!at.ok()) {
         return SpecError(value_off, value, at.status().message());
       }
       spec.at = *at;
     } else if (key == "duration") {
-      Result<sim::SimTime> duration = ParseDuration(value);
+      Result<sim::SimTime> duration = sim::ParseDuration(value);
       if (!duration.ok()) {
         return SpecError(value_off, value, duration.status().message());
       }

@@ -81,10 +81,6 @@ struct FaultPlan {
   std::string ToPlanString() const;
 };
 
-/// "5s" / "250ms" / "1500us" -> SimTime. Strict: requires a numeric value
-/// and one of the three suffixes; anything else is kInvalidArgument.
-util::Result<sim::SimTime> ParseDuration(std::string_view text);
-
 /// Parses one "key=value,key=value" spec. Keys: kind (required), target
 /// (required), at, duration, magnitude. Unknown keys, unknown kinds or
 /// targets, and per-kind constraint violations (e.g. link-degrade without a

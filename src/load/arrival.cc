@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "fault/fault.h"
 #include "util/string_util.h"
 
 namespace cloudybench::load {
@@ -25,18 +24,6 @@ constexpr ProcessEntry kProcesses[] = {
     {ArrivalProcess::kMmpp, "mmpp"},
     {ArrivalProcess::kFixed, "fixed"},
 };
-
-std::string FormatDuration(sim::SimTime t) {
-  std::ostringstream out;
-  if (t.us % 1000000 == 0) {
-    out << t.us / 1000000 << "s";
-  } else if (t.us % 1000 == 0) {
-    out << t.us / 1000 << "ms";
-  } else {
-    out << t.us << "us";
-  }
-  return out.str();
-}
 
 Result<double> ParsePositiveDouble(std::string_view key,
                                    std::string_view value) {
@@ -142,10 +129,10 @@ std::string ArrivalSpec::ToString() const {
   std::ostringstream out;
   out << ArrivalProcessName(process) << " rate=" << rate;
   if (process == ArrivalProcess::kMmpp) {
-    out << " rate2=" << rate2 << " dwell=" << FormatDuration(dwell);
+    out << " rate2=" << rate2 << " dwell=" << sim::FormatDuration(dwell);
   }
-  if (start.us > 0) out << " start=" << FormatDuration(start);
-  if (duration.us > 0) out << " duration=" << FormatDuration(duration);
+  if (start.us > 0) out << " start=" << sim::FormatDuration(start);
+  if (duration.us > 0) out << " duration=" << sim::FormatDuration(duration);
   if (diurnal || ramp || spike) {
     out << " shape=";
     const char* sep = "";
@@ -160,16 +147,17 @@ std::string ArrivalSpec::ToString() const {
     if (spike) out << sep << "spike";
   }
   if (diurnal) {
-    out << " period=" << FormatDuration(period) << " amplitude=" << amplitude;
+    out << " period=" << sim::FormatDuration(period)
+        << " amplitude=" << amplitude;
   }
   if (ramp) out << " ramp-to=" << ramp_to;
   if (spike) {
-    out << " spike-at=" << FormatDuration(spike_at)
-        << " spike-duration=" << FormatDuration(spike_duration)
+    out << " spike-at=" << sim::FormatDuration(spike_at)
+        << " spike-duration=" << sim::FormatDuration(spike_duration)
         << " spike-mag=" << spike_magnitude;
   }
   if (txns_per_session > 1) out << " txns=" << txns_per_session;
-  if (think.us > 0) out << " think=" << FormatDuration(think);
+  if (think.us > 0) out << " think=" << sim::FormatDuration(think);
   if (!tenant.empty()) out << " tenant=" << tenant;
   return out.str();
 }
@@ -359,11 +347,11 @@ Result<ArrivalSpec> ParseArrivalSpec(std::string_view text) {
     } else if (key == "rate2") {
       CB_ASSIGN_OR_RETURN(spec.rate2, ParsePositiveDouble(key, value));
     } else if (key == "dwell") {
-      CB_ASSIGN_OR_RETURN(spec.dwell, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.dwell, sim::ParseDuration(value));
     } else if (key == "start") {
-      CB_ASSIGN_OR_RETURN(spec.start, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.start, sim::ParseDuration(value));
     } else if (key == "duration") {
-      CB_ASSIGN_OR_RETURN(spec.duration, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.duration, sim::ParseDuration(value));
     } else if (key == "shape") {
       size_t shape_pos = 0;
       while (shape_pos <= value.size()) {
@@ -384,7 +372,7 @@ Result<ArrivalSpec> ParseArrivalSpec(std::string_view text) {
         if (plus == value.size()) break;
       }
     } else if (key == "period") {
-      CB_ASSIGN_OR_RETURN(spec.period, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.period, sim::ParseDuration(value));
     } else if (key == "amplitude") {
       std::string number(value);
       char* end = nullptr;
@@ -395,9 +383,9 @@ Result<ArrivalSpec> ParseArrivalSpec(std::string_view text) {
     } else if (key == "ramp-to") {
       CB_ASSIGN_OR_RETURN(spec.ramp_to, ParsePositiveDouble(key, value));
     } else if (key == "spike-at") {
-      CB_ASSIGN_OR_RETURN(spec.spike_at, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.spike_at, sim::ParseDuration(value));
     } else if (key == "spike-duration") {
-      CB_ASSIGN_OR_RETURN(spec.spike_duration, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.spike_duration, sim::ParseDuration(value));
     } else if (key == "spike-mag") {
       CB_ASSIGN_OR_RETURN(spec.spike_magnitude,
                           ParsePositiveDouble(key, value));
@@ -409,7 +397,7 @@ Result<ArrivalSpec> ParseArrivalSpec(std::string_view text) {
       }
       spec.txns_per_session = static_cast<int>(txns);
     } else if (key == "think") {
-      CB_ASSIGN_OR_RETURN(spec.think, fault::ParseDuration(value));
+      CB_ASSIGN_OR_RETURN(spec.think, sim::ParseDuration(value));
     } else if (key == "tenant") {
       spec.tenant = std::string(value);
     } else {

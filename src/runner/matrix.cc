@@ -44,14 +44,10 @@ bool LooksNumeric(std::string_view s) {
 }  // namespace
 
 std::string DefaultCellId(const CellSpec& spec) {
-  std::string id = util::StringPrintf(
+  return util::StringPrintf(
       "%s/sf%lld/%s/con%d/seed%llu", sut::SutName(spec.sut),
       static_cast<long long>(spec.scale_factor), spec.pattern.c_str(),
       spec.concurrency, static_cast<unsigned long long>(spec.seed));
-  if (spec.tenants > 1) {
-    id += util::StringPrintf("/t%d", spec.tenants);
-  }
-  return id;
 }
 
 void CellResult::AddText(std::string key, std::string value) {

@@ -39,21 +39,10 @@ struct CellSpec {
   bool freeze_at_max = true;
   bool serverless = false;
   double time_scale = 1.0;
-  /// Tenant-sharded cells (runner/sharded_cell.h): number of independent
-  /// tenants this cell hosts. 1 = a plain single-deployment cell; N > 1
-  /// splits the cell into N isolated per-tenant deployments whose results
-  /// merge deterministically in tenant order.
-  int tenants = 1;
-  /// Worker threads a tenant-sharded cell spreads its tenants over.
-  /// <= 0 means std::thread::hardware_concurrency(). Execution-only knob:
-  /// the merged result and every artifact are byte-identical at any value.
-  int cell_shards = 1;
 };
 
 /// "CDB3/sf10/RW/con150/seed42" — unique as long as the matrix does not
 /// repeat coordinates (if it does, give the duplicates explicit ids).
-/// Multi-tenant cells append "/t<tenants>"; single-tenant ids are unchanged
-/// so existing goldens and path templates keep their bytes.
 std::string DefaultCellId(const CellSpec& spec);
 
 /// Result row of one cell, collected by the runner in matrix order.

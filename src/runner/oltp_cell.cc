@@ -1,10 +1,38 @@
 #include "runner/oltp_cell.h"
 
+#include <algorithm>
+
 #include "core/evaluators.h"
-#include "runner/sharded_cell.h"
 #include "util/logging.h"
+#include "util/random.h"
+#include "util/string_util.h"
 
 namespace cloudybench::runner {
+
+namespace {
+
+/// Merge rule for one RunOltpCell column. Additive quantities (throughput,
+/// counts, cost, allocated resources) sum across tenants; intensive ones
+/// (latency quantiles, scores, hit rates) take the commit-weighted mean.
+struct MergeKey {
+  const char* name;
+  int precision;  ///< RunOltpCell's AddMetric precision for the column
+  bool weighted;
+};
+
+constexpr MergeKey kMergeKeys[] = {
+    {"tps", 0, false},          {"p50_ms", 2, true},
+    {"p99_ms", 2, true},        {"commits", 0, false},
+    {"aborts", 0, false},       {"cost_per_min", 4, false},
+    {"cost_cpu", 4, false},     {"cost_mem", 4, false},
+    {"cost_storage", 4, false}, {"cost_iops", 4, false},
+    {"cost_net", 4, false},     {"p_score", 0, true},
+    {"buffer_hit_pct", 1, true}, {"vcores", 0, false},
+    {"memory_gb", 0, false},    {"storage_gb", 1, false},
+    {"iops", 0, false},         {"net_gbps", 0, false},
+};
+
+}  // namespace
 
 cloud::ClusterConfig ClusterConfigFor(const CellSpec& spec) {
   cloud::ClusterConfig cfg = sut::MakeProfile(spec.sut, spec.time_scale);
@@ -44,11 +72,6 @@ SalesWorkloadConfig SalesConfigFor(const CellSpec& spec) {
 
 CellResult RunOltpCell(const CellContext& ctx) {
   const CellSpec& spec = ctx.spec;
-  // Multi-tenant specs route through the tenant-sharded cell, which calls
-  // back here once per tenant with `tenants` folded to 1 — every existing
-  // MatrixRunner sweep gains --cell-shards support without touching its
-  // call sites.
-  if (spec.tenants > 1) return RunTenantShardedCell(ctx);
   SalesTransactionSet txns(SalesConfigFor(spec));
   CellDeployment rig(spec, txns.Schemas());
 
@@ -86,6 +109,68 @@ CellResult RunOltpCell(const CellContext& ctx) {
 
   result.sim_seconds = rig.env.Now().ToSeconds();
   return result;
+}
+
+CellSpec TenantSpec(const CellSpec& cell, int tenant) {
+  CellSpec t = cell;
+  t.id = (cell.id.empty() ? DefaultCellId(cell) : cell.id) + "/tenant" +
+         std::to_string(tenant);
+  // Seed splits on the tenant *index*, never on worker placement, so every
+  // tenant's simulation is a pure function of (cell seed, index).
+  t.seed = util::SplitSeed(cell.seed, util::kTenantStream,
+                           static_cast<uint64_t>(tenant));
+  return t;
+}
+
+CellResult MergeTenantRows(const CellSpec& cell,
+                           const std::vector<CellResult>& tenant_results) {
+  const int tenants = static_cast<int>(tenant_results.size());
+  CellResult merged;
+  int ok_tenants = 0;
+  double weight_total = 0;
+  for (int i = 0; i < tenants; ++i) {
+    const CellResult& r = tenant_results[static_cast<size_t>(i)];
+    if (!r.ok) {
+      if (merged.error.empty()) {
+        merged.error = util::StringPrintf("tenant %d: %s", i, r.error.c_str());
+      }
+      continue;
+    }
+    ++ok_tenants;
+    weight_total += r.Number("commits");
+  }
+  for (const MergeKey& key : kMergeKeys) {
+    double acc = 0;
+    for (const CellResult& r : tenant_results) {
+      if (!r.ok) continue;
+      double v = r.Number(key.name);
+      if (!key.weighted) {
+        acc += v;
+        continue;
+      }
+      // Commit-weighted mean; plain mean when nothing committed anywhere
+      // so a zero-commit row still reports finite latencies.
+      double w = weight_total > 0
+                     ? r.Number("commits") / weight_total
+                     : 1.0 / static_cast<double>(std::max(ok_tenants, 1));
+      acc += v * w;
+    }
+    merged.AddMetric(key.name, acc, key.precision);
+  }
+  // Per-tenant throughput columns (the multi-tenancy tables' idiom). A
+  // failed tenant reports 0 so the column set never depends on the failure
+  // shape.
+  for (int i = 0; i < tenants; ++i) {
+    const CellResult& r = tenant_results[static_cast<size_t>(i)];
+    merged.AddMetric(util::StringPrintf("t%d_tps", i),
+                     r.ok ? r.Number("tps") : 0.0, 0);
+    if (r.ok) merged.sim_seconds += r.sim_seconds;
+  }
+  merged.ok = merged.error.empty();
+  merged.id = cell.id.empty()
+                  ? DefaultCellId(cell) + util::StringPrintf("/t%d", tenants)
+                  : cell.id;
+  return merged;
 }
 
 }  // namespace cloudybench::runner

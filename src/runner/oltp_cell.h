@@ -51,9 +51,34 @@ SalesWorkloadConfig SalesConfigFor(const CellSpec& spec);
 ///   mean allocated vcores / memory_gb / storage_gb / iops / net_gbps.
 ///
 /// Honors ctx.metrics_path (per-cell metrics snapshot while the cluster's
-/// gauges are still registered). Specs with tenants > 1 dispatch to
-/// RunTenantShardedCell (runner/sharded_cell.h) and return its merged row.
+/// gauges are still registered).
 CellResult RunOltpCell(const CellContext& ctx);
+
+/// Multi-tenant OLTP rows (DESIGN.md §4k). A tenant is an isolated
+/// single-tenant deployment of the cell's SUT, i.e. an ordinary cell: a
+/// row of N tenants runs TenantSpec(cell, 0..N-1) as N RunOltpCell cells
+/// on the caller's MatrixRunner, then folds the N rows with
+/// MergeTenantRows. Tenant seeds derive from (cell seed, tenant index)
+/// only, so the merged row is byte-identical at any --jobs.
+
+/// The spec tenant `tenant` of `cell` runs with: same coordinates, id
+/// "<cell id>/tenant<i>", and the seed split via
+/// SplitSeed(cell.seed, util::kTenantStream, tenant).
+CellSpec TenantSpec(const CellSpec& cell, int tenant);
+
+/// Pure fold of tenant rows (in tenant-index order) into one row:
+///
+///   tps/commits/aborts/cost_*/vcores/memory_gb/storage_gb/iops/net_gbps
+///   summed across tenants; p50_ms/p99_ms/p_score/buffer_hit_pct
+///   commit-weighted means (plain means when nothing committed); one
+///   "t<i>_tps" column per tenant; sim_seconds = sum of per-tenant clocks.
+///
+/// A failed tenant row is left out of every sum and weight and reports
+/// t<i>_tps = 0; the merged row carries "tenant <i>: <error>" for the first
+/// failure by index. The merged id is cell.id, or DefaultCellId(cell) +
+/// "/t<N>" when that is empty.
+CellResult MergeTenantRows(const CellSpec& cell,
+                           const std::vector<CellResult>& tenant_results);
 
 }  // namespace cloudybench::runner
 

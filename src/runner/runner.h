@@ -42,8 +42,8 @@ struct CellContext {
 using CellFn = std::function<CellResult(const CellContext&)>;
 
 struct RunnerOptions {
-  /// Worker threads; <= 0 means std::thread::hardware_concurrency(). The
-  /// pool never exceeds the cell count.
+  /// Worker threads; <= 0 means all hardware threads. The pool never
+  /// exceeds the cell count.
   int jobs = 0;
   /// When non-empty, one ToJsonLine() per cell is written here in matrix
   /// order after the sweep completes.

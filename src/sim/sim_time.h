@@ -4,6 +4,10 @@
 #include <compare>
 #include <cstdint>
 #include <ostream>
+#include <string>
+#include <string_view>
+
+#include "util/result.h"
 
 namespace cloudybench::sim {
 
@@ -51,6 +55,15 @@ constexpr SimTime Minutes(double v) {
 inline std::ostream& operator<<(std::ostream& os, SimTime t) {
   return os << t.ToSeconds() << "s";
 }
+
+/// The duration grammar shared by the --faults= and --arrivals= plans:
+/// "5s" / "250ms" / "1500us" -> SimTime. Strict: requires a numeric value
+/// and one of the three suffixes; anything else is kInvalidArgument.
+util::Result<SimTime> ParseDuration(std::string_view text);
+
+/// Inverse of ParseDuration for whole units: the largest of s / ms / us
+/// that represents `t` exactly ("5s", "250ms", "1500us").
+std::string FormatDuration(SimTime t);
 
 }  // namespace cloudybench::sim
 

@@ -32,6 +32,7 @@ using cloud::DegradationController;
 using cloud::DegradationPolicy;
 using storage::Row;
 using storage::TableSchema;
+using sim::ParseDuration;
 using sut::SutKind;
 using util::Status;
 using util::StatusCode;

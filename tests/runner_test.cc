@@ -2,6 +2,8 @@
 // collection across thread counts, failure isolation, cell-id and path
 // templating, and the JSONL/trace artifact plumbing.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,7 +19,6 @@
 #include "runner/oltp_cell.h"
 #include "runner/runner.h"
 #include "runner/section_cells.h"
-#include "runner/sharded_cell.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -292,27 +293,28 @@ TEST(CellResultTest, JsonLineShapes) {
             "\"error\":\"boom \\\"quoted\\\"\",\"sim_seconds\":0.000}");
 }
 
-// ---- Tenant-sharded cells (runner/sharded_cell.h) -------------------------
+// ---- Multi-tenant rows: tenant cells + MergeTenantRows (oltp_cell.h) -----
+//
+// A multi-tenant row is sharded into one ordinary runner cell per tenant;
+// the suite name keeps that shape. The merge tests below are pure: hand-
+// built tenant rows, no simulation.
 
 TEST(ShardedCellTest, TenantSpecSplitsSeedByIndexOnly) {
   CellSpec cell;
   cell.sut = sut::SutKind::kCdb3;
+  cell.concurrency = 20;
   cell.seed = 42;
-  cell.tenants = 8;
-  cell.cell_shards = 4;
 
   CellSpec t3 = TenantSpec(cell, 3);
-  EXPECT_EQ(t3.tenants, 1);
-  EXPECT_EQ(t3.cell_shards, 1);
   EXPECT_EQ(t3.seed, util::SplitSeed(42, util::kTenantStream, 3));
   EXPECT_EQ(t3.id, DefaultCellId(cell) + "/tenant3");
-
-  // The derivation must not see the shard count: the same tenant of the
-  // same cell gets the same simulation no matter how it is scheduled.
-  cell.cell_shards = 1;
-  EXPECT_EQ(TenantSpec(cell, 3).seed, t3.seed);
+  EXPECT_EQ(t3.concurrency, 20);
   // Distinct tenants get independent streams.
   EXPECT_NE(TenantSpec(cell, 4).seed, t3.seed);
+  // An explicit cell id prefixes the tenant ids.
+  cell.id = "big";
+  EXPECT_EQ(TenantSpec(cell, 3).id, "big/tenant3");
+  EXPECT_EQ(TenantSpec(cell, 3).seed, t3.seed);
 }
 
 TEST(ShardedCellTest, DefaultCellIdAppendsTenantsOnlyWhenMultiTenant) {
@@ -321,14 +323,72 @@ TEST(ShardedCellTest, DefaultCellIdAppendsTenantsOnlyWhenMultiTenant) {
   spec.scale_factor = 1;
   spec.concurrency = 100;
   spec.seed = 42;
+  // A plain cell's id never carries a tenant count; the merged row's does.
   EXPECT_EQ(DefaultCellId(spec), "CDB3/sf1/RW/con100/seed42");
-  spec.tenants = 8;
-  EXPECT_EQ(DefaultCellId(spec), "CDB3/sf1/RW/con100/seed42/t8");
+  std::vector<CellResult> rows(8);
+  for (CellResult& r : rows) r.ok = true;
+  EXPECT_EQ(MergeTenantRows(spec, rows).id, "CDB3/sf1/RW/con100/seed42/t8");
+  spec.id = "big";
+  EXPECT_EQ(MergeTenantRows(spec, rows).id, "big");
 }
 
-/// The tentpole contract: one multi-tenant cell produces byte-identical
-/// rows and artifacts at every --cell-shards value (including an uneven
-/// tenants/shards split) and every --jobs value.
+/// A hand-built tenant row with the columns the merge reads.
+CellResult TenantRow(double tps, double commits, double p99_ms,
+                     double sim_seconds) {
+  CellResult r;
+  r.ok = true;
+  r.AddMetric("tps", tps, 0);
+  r.AddMetric("p99_ms", p99_ms, 2);
+  r.AddMetric("commits", commits, 0);
+  r.sim_seconds = sim_seconds;
+  return r;
+}
+
+TEST(MergeTenantRowsTest, FailedTenantIsLeftOutAndNamedByFirstIndex) {
+  CellSpec cell;
+  std::vector<CellResult> rows = {
+      TenantRow(100, 300, 10, 2), TenantRow(999, 999, 99, 9),
+      TenantRow(50, 100, 20, 3), TenantRow(999, 999, 99, 9)};
+  rows[1].ok = false;
+  rows[1].error = "boom";
+  rows[3].ok = false;
+  rows[3].error = "later";
+
+  CellResult merged = MergeTenantRows(cell, rows);
+  EXPECT_FALSE(merged.ok);
+  EXPECT_EQ(merged.error, "tenant 1: boom");
+  EXPECT_EQ(merged.Text("t0_tps"), "100");
+  EXPECT_EQ(merged.Text("t1_tps"), "0");
+  EXPECT_EQ(merged.Text("t2_tps"), "50");
+  EXPECT_EQ(merged.Text("t3_tps"), "0");
+  // Sums and weights see only the ok tenants.
+  EXPECT_DOUBLE_EQ(merged.Number("tps"), 150);
+  EXPECT_DOUBLE_EQ(merged.Number("commits"), 400);
+  EXPECT_EQ(merged.Text("p99_ms"), "12.50");  // (10*300 + 20*100) / 400
+  EXPECT_DOUBLE_EQ(merged.sim_seconds, 5);
+}
+
+TEST(MergeTenantRowsTest, ZeroCommitsFallBackToPlainMean) {
+  CellSpec cell;
+  CellResult merged = MergeTenantRows(
+      cell, {TenantRow(0, 0, 4, 1), TenantRow(0, 0, 6, 1)});
+  EXPECT_TRUE(merged.ok);
+  EXPECT_TRUE(std::isfinite(merged.Number("p99_ms")));
+  EXPECT_EQ(merged.Text("p99_ms"), "5.00");
+
+  // Nothing ok at all: every column stays finite (zero).
+  std::vector<CellResult> failed(2);
+  failed[0].error = "a";
+  failed[1].error = "b";
+  CellResult none = MergeTenantRows(cell, failed);
+  EXPECT_EQ(none.error, "tenant 0: a");
+  EXPECT_TRUE(std::isfinite(none.Number("p99_ms")));
+  EXPECT_EQ(none.Text("p99_ms"), "0.00");
+}
+
+/// The tentpole contract: one multi-tenant row merges to byte-identical
+/// output, and every per-tenant artifact matches, at any worker count the
+/// tenant cells are sharded over (including an uneven 4-over-3 split).
 TEST(ShardedCellTest, ByteIdenticalAcrossShardCounts) {
   CellSpec cell;
   cell.sut = sut::SutKind::kCdb3;
@@ -338,34 +398,38 @@ TEST(ShardedCellTest, ByteIdenticalAcrossShardCounts) {
   cell.seed = 42;
   cell.warmup = sim::Millis(500);
   cell.measure = sim::Seconds(1);
-  cell.tenants = 4;
+  std::vector<CellSpec> tenants;
+  for (int i = 0; i < 4; ++i) tenants.push_back(TenantSpec(cell, i));
 
-  auto sweep = [&cell](int shards, int jobs, const std::string& tag) {
-    CellSpec spec = cell;
-    spec.cell_shards = shards;
+  auto path = [](const std::string& tag, const std::string& suffix) {
+    return testing::TempDir() + "/tenant_" + tag + suffix;
+  };
+  auto sweep = [&](int jobs, const std::string& tag) {
     RunnerOptions options;
     options.jobs = jobs;
     options.print_summary = false;
-    options.jsonl_path = testing::TempDir() + "/shard_" + tag + ".jsonl";
+    options.jsonl_path = path(tag, ".jsonl");
     if (obs::kCompiled) {
-      options.timeline_jsonl_template =
-          testing::TempDir() + "/shard_" + tag + "_tl.jsonl";
-      options.metrics_template =
-          testing::TempDir() + "/shard_" + tag + "_m.jsonl";
+      options.timeline_jsonl_template = path(tag, "_{index}_tl.jsonl");
+      options.metrics_template = path(tag, "_{index}_m.jsonl");
     }
-    std::vector<CellResult> results =
-        MatrixRunner(options).Run({spec}, RunOltpCell);
-    EXPECT_TRUE(results[0].ok) << results[0].error;
-    return results[0];
+    std::vector<CellResult> rows =
+        MatrixRunner(options).Run(tenants, RunOltpCell);
+    for (const CellResult& r : rows) EXPECT_TRUE(r.ok) << r.error;
+    return MergeTenantRows(cell, rows);
   };
 
-  CellResult one = sweep(1, 1, "s1");
-  CellResult four = sweep(4, 2, "s4");
-  CellResult three = sweep(3, 1, "s3");  // uneven partition [2,1,1]
+  CellResult one = sweep(1, "j1");
+  CellResult two = sweep(2, "j2");
+  CellResult three = sweep(3, "j3");  // uneven: 4 tenants on 3 workers
 
-  EXPECT_EQ(ToJsonLine(one), ToJsonLine(four));
+  EXPECT_EQ(ToJsonLine(one), ToJsonLine(two));
   EXPECT_EQ(ToJsonLine(one), ToJsonLine(three));
   EXPECT_EQ(one.id, "CDB3/sf1/RW/con10/seed42/t4");
+  std::string rows = ReadFile(path("j1", ".jsonl"));
+  EXPECT_EQ(std::count(rows.begin(), rows.end(), '\n'), 4);
+  EXPECT_EQ(rows, ReadFile(path("j2", ".jsonl")));
+  EXPECT_EQ(rows, ReadFile(path("j3", ".jsonl")));
 
   // Merge sanity: extensive columns sum across the per-tenant columns.
   double tenant_sum = 0;
@@ -376,31 +440,23 @@ TEST(ShardedCellTest, ByteIdenticalAcrossShardCounts) {
   EXPECT_GT(one.Number("commits"), 0);
 
   if (obs::kCompiled) {
-    // The merged timeline artifact and every per-tenant metrics snapshot
-    // must match byte for byte too.
-    auto artifact = [](const std::string& tag, const std::string& suffix) {
-      return ReadFile(testing::TempDir() + "/shard_" + tag + suffix);
-    };
-    std::string tl = artifact("s1", "_tl.jsonl");
-    EXPECT_FALSE(tl.empty());
-    EXPECT_EQ(tl, artifact("s4", "_tl.jsonl"));
-    EXPECT_EQ(tl, artifact("s3", "_tl.jsonl"));
-    // Tenant scopes are prefixed so the merged stream stays attributable.
-    EXPECT_NE(tl.find("t0."), std::string::npos);
-    EXPECT_NE(tl.find("t3."), std::string::npos);
+    // Every per-tenant timeline and metrics snapshot, one file per tenant
+    // cell from the runner's templates, matches byte for byte too.
     for (int i = 0; i < 4; ++i) {
-      std::string suffix = "_m.jsonl.t" + std::to_string(i);
-      std::string metrics = artifact("s1", suffix);
-      EXPECT_FALSE(metrics.empty()) << suffix;
-      EXPECT_EQ(metrics, artifact("s4", suffix)) << suffix;
-      EXPECT_EQ(metrics, artifact("s3", suffix)) << suffix;
+      for (const char* kind : {"_tl.jsonl", "_m.jsonl"}) {
+        std::string suffix = "_" + std::to_string(i) + kind;
+        std::string artifact = ReadFile(path("j1", suffix));
+        EXPECT_FALSE(artifact.empty()) << suffix;
+        EXPECT_EQ(artifact, ReadFile(path("j2", suffix))) << suffix;
+        EXPECT_EQ(artifact, ReadFile(path("j3", suffix))) << suffix;
+      }
     }
   }
 }
 
-/// Each tenant of the sharded cell must be *the same simulation* as a
-/// standalone single-tenant cell with the tenant's derived spec — sharding
-/// changes scheduling, never results.
+/// Each tenant cell must be *the same simulation* as a standalone cell
+/// with the tenant's spec: running beside other tenants changes
+/// scheduling, never results.
 TEST(ShardedCellTest, TenantsMatchStandaloneSingleTenantCells) {
   CellSpec cell;
   cell.sut = sut::SutKind::kAwsRds;
@@ -409,20 +465,21 @@ TEST(ShardedCellTest, TenantsMatchStandaloneSingleTenantCells) {
   cell.seed = 7;
   cell.warmup = sim::Millis(500);
   cell.measure = sim::Seconds(1);
-  cell.tenants = 2;
-  cell.cell_shards = 2;
+  std::vector<CellSpec> tenants = {TenantSpec(cell, 0), TenantSpec(cell, 1)};
 
   RunnerOptions options;
-  options.jobs = 1;
+  options.jobs = 2;
   options.print_summary = false;
-  CellResult merged = MatrixRunner(options).Run({cell}, RunOltpCell)[0];
+  CellResult merged = MergeTenantRows(
+      cell, MatrixRunner(options).Run(tenants, RunOltpCell));
   ASSERT_TRUE(merged.ok) << merged.error;
 
+  options.jobs = 1;
   double tps_sum = 0, commits_sum = 0;
   for (int i = 0; i < 2; ++i) {
-    CellSpec tenant = TenantSpec(cell, i);
     CellResult standalone =
-        MatrixRunner(options).Run({tenant}, RunOltpCell)[0];
+        MatrixRunner(options).Run({tenants[static_cast<size_t>(i)]},
+                                  RunOltpCell)[0];
     ASSERT_TRUE(standalone.ok) << standalone.error;
     EXPECT_EQ(merged.Text("t" + std::to_string(i) + "_tps"),
               standalone.Text("tps"));
