@@ -430,6 +430,31 @@ void BM_ObsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsOverhead)->Unit(benchmark::kMillisecond);
 
+// ---- Deployment (DESIGN.md §4f) -------------------------------------------
+
+void BM_CellDeploy(benchmark::State& state, sut::SutKind kind) {
+  // What every runner cell pays before it simulates anything: one SF10
+  // CellDeployment with one RO node (Cluster construction, Load and buffer
+  // prewarm) and its teardown. Prewarm dominates for the SUTs with large
+  // caches, CDB3 and CDB4.
+  util::SetLogLevel(util::LogLevel::kWarning);
+  runner::CellSpec spec;
+  spec.sut = kind;
+  spec.scale_factor = 10;
+  spec.n_ro = 1;
+  spec.pattern = "RW";
+  SalesTransactionSet txns(runner::SalesConfigFor(spec));
+  const std::vector<storage::TableSchema> schemas = txns.Schemas();
+  for (auto _ : state) {
+    runner::CellDeployment rig(spec, schemas);
+    benchmark::DoNotOptimize(rig.cluster.get());
+  }
+}
+BENCHMARK_CAPTURE(BM_CellDeploy, CDB3, sut::SutKind::kCdb3)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CellDeploy, CDB4, sut::SutKind::kCdb4)
+    ->Unit(benchmark::kMillisecond);
+
 // ---- Replication pipeline (DESIGN.md §4k) ---------------------------------
 
 storage::TableSchema ReplSchema() {

@@ -45,6 +45,8 @@ int main(int argc, char** argv) {
   cloud::Cluster cluster(&env, config, /*n_ro_nodes=*/0);
   SalesTransactionSet workload(SalesWorkloadConfig::ReadWrite());
   cluster.Load(workload.Schemas(), 1);
+  // Warm buffers, as every Fig. 6 cell deploys them.
+  cluster.PrewarmBuffers();
 
   ElasticityEvaluator::Options options;
   options.tau = 110;

@@ -258,34 +258,50 @@ void Cluster::PrewarmBuffers() {
     total_pages += table->pages();
   }
   CB_CHECK_GT(total_pages, 0);
-  auto prewarm_one = [&](storage::BufferPool* pool, int32_t table_offset) {
+  // Every pool holds the same fraction of each table, lowest pages first.
+  auto runs_for = [&](int64_t capacity_pages, int32_t table_offset) {
     double fraction =
-        std::min(1.0, static_cast<double>(pool->capacity_pages()) /
+        std::min(1.0, static_cast<double>(capacity_pages) /
                           static_cast<double>(total_pages));
+    std::vector<storage::PageRun> runs;
     for (const auto& table : canonical_tables_.tables()) {
-      int64_t admit = static_cast<int64_t>(
-          fraction * static_cast<double>(table->pages()));
-      for (int64_t page = 0; page < admit; ++page) {
-        pool->Admit(storage::PageId{table->id() + table_offset, page});
-      }
+      runs.push_back(storage::PageRun{
+          storage::PageId{table->id() + table_offset, 0},
+          static_cast<int64_t>(fraction *
+                               static_cast<double>(table->pages()))});
     }
+    return runs;
   };
+  // Empty pools of one shape (capacity, table offset) end up identical, so
+  // the first is filled and the rest (the RO nodes) copy it. A pool that is
+  // already warm (a re-prewarm after a buffer resize) admits only what it
+  // is missing.
+  struct Filled {
+    int64_t capacity_pages;
+    int32_t table_offset;
+    const BufferPool* pool;
+  };
+  std::vector<Filled> filled;
   for (const auto& node : nodes_) {
-    prewarm_one(&node->buffer(), node->config().page_table_offset);
+    BufferPool& pool = node->buffer();
+    int32_t offset = node->config().page_table_offset;
+    bool empty = pool.resident_pages() == 0;
+    auto same_shape = std::find_if(
+        filled.begin(), filled.end(), [&](const Filled& f) {
+          return f.capacity_pages == pool.capacity_pages() &&
+                 f.table_offset == offset;
+        });
+    if (empty && same_shape != filled.end()) {
+      pool.CloneFrom(*same_shape->pool);
+      continue;
+    }
+    pool.Prewarm(runs_for(pool.capacity_pages(), offset));
+    if (empty) filled.push_back({pool.capacity_pages(), offset, &pool});
   }
   if (remote_buffer_ != nullptr) {
-    double fraction =
-        std::min(1.0, static_cast<double>(remote_buffer_->capacity_bytes() /
-                                          storage::BufferPool::kPageBytes) /
-                          static_cast<double>(total_pages));
-    for (const auto& table : canonical_tables_.tables()) {
-      int64_t admit = static_cast<int64_t>(
-          fraction * static_cast<double>(table->pages()));
-      for (int64_t page = 0; page < admit; ++page) {
-        remote_buffer_->Admit(storage::PageId{
-            table->id() + cfg_.node.page_table_offset, page});
-      }
-    }
+    remote_buffer_->Prewarm(
+        runs_for(remote_buffer_->capacity_bytes() / BufferPool::kPageBytes,
+                 cfg_.node.page_table_offset));
   }
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "net/network.h"
@@ -75,6 +76,10 @@ class RemoteBufferPool {
   /// Admits a page (after a storage read, or a committed write's
   /// invalidation refresh keeps it current).
   void Admit(storage::PageId page);
+
+  /// Deploy-time warm-up (BufferPool::Prewarm): counts neither hits nor
+  /// misses, so hit_rate() reflects only the traffic that follows.
+  void Prewarm(std::span<const storage::PageRun> runs) { pool_.Prewarm(runs); }
 
   int64_t capacity_bytes() const { return pool_.capacity_bytes(); }
   int64_t resident_pages() const { return pool_.resident_pages(); }

@@ -17,15 +17,28 @@ size_t IndexSizeFor(size_t n) {
   return size;
 }
 
+/// True when two non-empty runs share a page.
+bool RunsOverlap(std::span<const PageRun> runs) {
+  for (size_t i = 0; i < runs.size(); ++i) {
+    for (size_t j = i + 1; j < runs.size(); ++j) {
+      const PageRun& a = runs[i];
+      const PageRun& b = runs[j];
+      if (a.count > 0 && b.count > 0 && a.first.table == b.first.table &&
+          a.first.page_no < b.first.page_no + b.count &&
+          b.first.page_no < a.first.page_no + a.count) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 }  // namespace
 
 BufferPool::BufferPool(int64_t capacity_bytes) {
   CB_CHECK_GT(capacity_bytes, 0);
   capacity_pages_ = std::max<int64_t>(1, capacity_bytes / kPageBytes);
-  size_t size = IndexSizeFor(16);
-  index_.assign(size, kNil);
-  index_mask_ = size - 1;
-  index_shift_ = 64 - std::countr_zero(size);
+  ResetIndex(IndexSizeFor(16));
 }
 
 // ---------------------------------------------------------------- index
@@ -63,14 +76,17 @@ void BufferPool::IndexErase(PageId page) {
 void BufferPool::GrowIndexIfNeeded() {
   // Keep load factor <= 0.5 so probe chains stay short.
   if (static_cast<size_t>(resident_ + 1) * 2 <= index_.size()) return;
-  size_t size = IndexSizeFor(index_.size() * 2);
-  index_.assign(size, kNil);
-  index_mask_ = size - 1;
-  index_shift_ = 64 - std::countr_zero(size);
+  ResetIndex(IndexSizeFor(index_.size() * 2));
   for (int32_t f = lru_head_; f != kNil;
        f = frames_[static_cast<size_t>(f)].lru_next) {
     IndexInsert(frames_[static_cast<size_t>(f)].page, f);
   }
+}
+
+void BufferPool::ResetIndex(size_t size) {
+  index_.assign(size, kNil);
+  index_mask_ = size - 1;
+  index_shift_ = 64 - std::countr_zero(size);
 }
 
 // ------------------------------------------------------ intrusive lists
@@ -190,6 +206,73 @@ BufferPool::AdmitResult BufferPool::Admit(PageId page) {
   IndexInsert(page, f);
   ++resident_;
   return result;
+}
+
+void BufferPool::Prewarm(std::span<const PageRun> runs) {
+  int64_t n = 0;
+  for (const PageRun& run : runs) {
+    CB_CHECK_GE(run.count, 0);
+    n += run.count;
+  }
+  CB_CHECK(!RunsOverlap(runs)) << "Prewarm: runs share a page";
+  if (resident_ != 0 || n > capacity_pages_) {
+    for (const PageRun& run : runs) {
+      for (int64_t i = 0; i < run.count; ++i) {
+        Admit(PageId{run.first.table, run.first.page_no + i});
+      }
+    }
+    return;
+  }
+  if (n == 0) return;
+  // One pass over an empty pool, building what n Admits would: frame i
+  // holds the i-th page with stamp clock_ + i + 1, the LRU chain runs from
+  // the last page (head) back to the first (tail), and the index has the
+  // size per-page growth reaches. Reserving bit_ceil(n) frames matches the
+  // capacity emplace_back doubling leaves, so the first miss after the
+  // prewarm does not reallocate the whole frame vector.
+  frames_.clear();
+  free_frames_.clear();
+  frames_.reserve(std::bit_ceil(static_cast<size_t>(n)));
+  const auto last = static_cast<int32_t>(n - 1);
+  for (const PageRun& run : runs) {
+    for (int64_t i = 0; i < run.count; ++i) {
+      const auto f = static_cast<int32_t>(frames_.size());
+      Frame frame;
+      frame.page = PageId{run.first.table, run.first.page_no + i};
+      frame.stamp = clock_ + static_cast<uint64_t>(f) + 1;
+      frame.lru_prev = f == last ? kNil : f + 1;
+      frame.lru_next = f == 0 ? kNil : f - 1;
+      frames_.push_back(frame);
+    }
+  }
+  clock_ += static_cast<uint64_t>(n);
+  lru_head_ = last;
+  lru_tail_ = 0;
+  resident_ = n;
+  ResetIndex(std::max(index_.size(), IndexSizeFor(static_cast<size_t>(n) * 2)));
+  for (int32_t f = 0; f <= last; ++f) {
+    IndexInsert(frames_[static_cast<size_t>(f)].page, f);
+  }
+}
+
+void BufferPool::CloneFrom(const BufferPool& source) {
+  CB_CHECK_EQ(resident_, 0);
+  CB_CHECK_EQ(capacity_pages_, source.capacity_pages_);
+  // Keep the source's spare frame capacity, for the same reason Prewarm
+  // reserves it.
+  frames_.reserve(source.frames_.capacity());
+  frames_.assign(source.frames_.begin(), source.frames_.end());
+  free_frames_ = source.free_frames_;
+  index_ = source.index_;
+  index_mask_ = source.index_mask_;
+  index_shift_ = source.index_shift_;
+  lru_head_ = source.lru_head_;
+  lru_tail_ = source.lru_tail_;
+  dirty_head_ = source.dirty_head_;
+  dirty_tail_ = source.dirty_tail_;
+  resident_ = source.resident_;
+  dirty_count_ = source.dirty_count_;
+  clock_ = source.clock_;
 }
 
 void BufferPool::MarkDirty(PageId page) {

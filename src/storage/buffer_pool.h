@@ -2,11 +2,19 @@
 #define CLOUDYBENCH_STORAGE_BUFFER_POOL_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/row.h"
+#include "util/flat_hash.h"
 
 namespace cloudybench::storage {
+
+/// `count` consecutive pages of one table, starting at `first`.
+struct PageRun {
+  PageId first;
+  int64_t count = 0;
+};
 
 /// LRU page cache descriptor table.
 ///
@@ -51,6 +59,19 @@ class BufferPool {
   /// page if full. The caller is responsible for writing back a dirty
   /// victim when the engine runs in write-back mode.
   AdmitResult Admit(PageId page);
+
+  /// Bulk warm-up: leaves the pool in the same state as calling Admit on
+  /// every page of `runs` in order; the runs must not share a page. An
+  /// empty pool that can hold every page is filled in one pass (DESIGN.md
+  /// §4f); any other pool takes the per-page Admit path, skipping resident
+  /// pages and evicting as usual. Counts neither hits nor misses.
+  void Prewarm(std::span<const PageRun> runs);
+
+  /// Makes this empty pool a copy of `source`'s pages, recency order and
+  /// dirty state; both pools must have the same capacity. This pool keeps
+  /// its own hit/miss/eviction counters. Cloning a pool that was prewarmed
+  /// from empty gives the state the same Prewarm would.
+  void CloneFrom(const BufferPool& source);
 
   /// Marks a resident page dirty; no-op when not resident (the engine may
   /// have evicted it between access and mark in pathological interleavings).
@@ -122,6 +143,8 @@ class BufferPool {
   void IndexInsert(PageId page, int32_t frame);
   void IndexErase(PageId page);
   void GrowIndexIfNeeded();
+  /// Replaces the index with `size` (a power of two) empty slots.
+  void ResetIndex(size_t size);
 
   // ---- intrusive lists ----
   void LruPushFront(int32_t f);
@@ -136,14 +159,19 @@ class BufferPool {
   int64_t resident_ = 0;
   uint64_t clock_ = 0;
 
-  std::vector<Frame> frames_;
+  // Frames and index are the two arrays a deploy fills and every Touch
+  // probes at random; a large pool backs them with huge pages, which cuts
+  // both the first-touch page faults of a prewarm and the TLB misses of
+  // the simulation that follows.
+  std::vector<Frame, util::HugePageAllocator<Frame>> frames_;
   std::vector<int32_t> free_frames_;
   int32_t lru_head_ = kNil;   ///< MRU end
   int32_t lru_tail_ = kNil;   ///< LRU end (eviction victim)
   int32_t dirty_head_ = kNil; ///< most recently used dirty page
   int32_t dirty_tail_ = kNil; ///< coldest dirty page (checkpointed first)
 
-  std::vector<int32_t> index_;  ///< slot -> frame index, kNil = empty
+  /// slot -> frame index, kNil = empty
+  std::vector<int32_t, util::HugePageAllocator<int32_t>> index_;
   size_t index_mask_ = 0;
   int index_shift_ = 64;
 

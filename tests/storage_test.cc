@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <list>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -586,6 +587,175 @@ TEST(BufferPoolTraceTest, MatchesReferenceModelOnRandom100kOpTrace) {
   EXPECT_EQ(pool.resident_pages(), ref.resident_pages());
   EXPECT_EQ(pool.dirty_pages(), ref.dirty_pages());
   EXPECT_EQ(pool.forced_dirty_evictions(), ref.forced_dirty_evictions());
+}
+
+// ------------------------------------------------- BufferPool bulk prewarm
+
+// Prewarm's contract is "the same state as Admit on each page in order".
+// Each case below builds one pool through Prewarm (or CloneFrom) and a twin
+// through a per-page Admit loop, then drives both with one random trace:
+// any difference in LRU order, stamps, index or dirty chain shows up as a
+// different hit, victim or TakeDirty order.
+
+void AdmitEach(BufferPool* pool, std::span<const PageRun> runs) {
+  for (const PageRun& run : runs) {
+    for (int64_t i = 0; i < run.count; ++i) {
+      pool->Admit(PageId{run.first.table, run.first.page_no + i});
+    }
+  }
+}
+
+void ExpectSameUnderTrace(BufferPool* a, BufferPool* b, uint64_t seed) {
+  const int64_t hits_a = a->hits(), hits_b = b->hits();
+  const int64_t misses_a = a->misses(), misses_b = b->misses();
+  const int64_t forced_a = a->forced_dirty_evictions();
+  const int64_t forced_b = b->forced_dirty_evictions();
+  util::Pcg32 rng(seed);
+  auto rand_page = [&rng] {
+    return PageId{static_cast<TableId>(rng.NextBounded(4)),
+                  static_cast<int64_t>(rng.NextBounded(800))};
+  };
+  // Dirty pages in a scrambled order before anything touches them, so the
+  // dirty chain's order depends on the stamps the warm-up left.
+  for (int i = 0; i < 300; ++i) {
+    PageId p = rand_page();
+    a->MarkDirty(p);
+    b->MarkDirty(p);
+  }
+  ASSERT_EQ(a->TakeDirty(100), b->TakeDirty(100));
+  for (int op = 0; op < 20000; ++op) {
+    uint32_t r = rng.NextBounded(100);
+    if (r < 55) {
+      PageId p = rand_page();
+      bool hit = a->Touch(p);
+      ASSERT_EQ(hit, b->Touch(p)) << "op " << op;
+      if (!hit) {
+        BufferPool::AdmitResult x = a->Admit(p);
+        BufferPool::AdmitResult y = b->Admit(p);
+        ASSERT_EQ(x.evicted, y.evicted) << "op " << op;
+        ASSERT_EQ(x.victim_dirty, y.victim_dirty) << "op " << op;
+        if (x.evicted) {
+          ASSERT_EQ(x.victim, y.victim) << "op " << op;
+        }
+      }
+    } else if (r < 75) {
+      PageId p = rand_page();
+      a->MarkDirty(p);
+      b->MarkDirty(p);
+    } else if (r < 80) {
+      PageId p = rand_page();
+      a->MarkClean(p);
+      b->MarkClean(p);
+    } else if (r < 90) {
+      PageId p = rand_page();
+      ASSERT_EQ(a->IsResident(p), b->IsResident(p)) << "op " << op;
+      ASSERT_EQ(a->IsDirty(p), b->IsDirty(p)) << "op " << op;
+    } else if (r < 98) {
+      size_t n = 1 + rng.NextBounded(32);
+      ASSERT_EQ(a->TakeDirty(n), b->TakeDirty(n)) << "op " << op;
+    } else {
+      int64_t pages = 64 + static_cast<int64_t>(rng.NextBounded(1024));
+      a->SetCapacity(pages * BufferPool::kPageBytes);
+      b->SetCapacity(pages * BufferPool::kPageBytes);
+    }
+  }
+  EXPECT_EQ(a->hits() - hits_a, b->hits() - hits_b);
+  EXPECT_EQ(a->misses() - misses_a, b->misses() - misses_b);
+  EXPECT_EQ(a->forced_dirty_evictions() - forced_a,
+            b->forced_dirty_evictions() - forced_b);
+  EXPECT_EQ(a->resident_pages(), b->resident_pages());
+  EXPECT_EQ(a->dirty_pages(), b->dirty_pages());
+}
+
+TEST(BufferPoolPrewarmTest, SeveralRunsMatchPerPageAdmit) {
+  const std::vector<PageRun> runs = {{PageId{0, 0}, 300},
+                                     {PageId{1, 0}, 0},
+                                     {PageId{2, 100}, 250},
+                                     {PageId{3, 0}, 200}};
+  BufferPool bulk(1024 * BufferPool::kPageBytes);
+  BufferPool twin(1024 * BufferPool::kPageBytes);
+  bulk.Prewarm(runs);
+  AdmitEach(&twin, runs);
+  EXPECT_EQ(bulk.resident_pages(), 750);
+  EXPECT_EQ(bulk.hits(), 0);
+  EXPECT_EQ(bulk.misses(), 0);
+  EXPECT_TRUE(bulk.IsResident(PageId{2, 349}));
+  EXPECT_FALSE(bulk.IsResident(PageId{2, 99}));
+  EXPECT_FALSE(bulk.IsResident(PageId{1, 0}));
+  ExpectSameUnderTrace(&bulk, &twin, 11);
+}
+
+TEST(BufferPoolPrewarmTest, FullPoolEvictsFirstPageOfFirstRunNext) {
+  const std::vector<PageRun> runs = {{PageId{1, 0}, 200},
+                                     {PageId{2, 50}, 312}};
+  BufferPool bulk(512 * BufferPool::kPageBytes);
+  BufferPool twin(512 * BufferPool::kPageBytes);
+  bulk.Prewarm(runs);
+  AdmitEach(&twin, runs);
+  ASSERT_EQ(bulk.resident_pages(), bulk.capacity_pages());
+  for (BufferPool* pool : {&bulk, &twin}) {
+    BufferPool::AdmitResult admitted = pool->Admit(PageId{3, 7});
+    ASSERT_TRUE(admitted.evicted);
+    EXPECT_EQ(admitted.victim, (PageId{1, 0}));
+  }
+  ExpectSameUnderTrace(&bulk, &twin, 12);
+}
+
+TEST(BufferPoolPrewarmTest, ShrunkWarmPoolReprewarmsPageByPage) {
+  // The Fig. 8 path: a warm pool is resized and prewarmed again, so resident
+  // pages are skipped and missing ones admitted with eviction.
+  const std::vector<PageRun> first = {{PageId{0, 0}, 400},
+                                      {PageId{1, 0}, 400}};
+  const std::vector<PageRun> again = {{PageId{0, 100}, 300},
+                                      {PageId{2, 0}, 150}};
+  BufferPool bulk(1024 * BufferPool::kPageBytes);
+  BufferPool twin(1024 * BufferPool::kPageBytes);
+  bulk.Prewarm(first);
+  AdmitEach(&twin, first);
+  for (int64_t page = 0; page < 400; page += 7) {
+    bulk.MarkDirty(PageId{0, page});
+    twin.MarkDirty(PageId{0, page});
+  }
+  bulk.SetCapacity(300 * BufferPool::kPageBytes);
+  twin.SetCapacity(300 * BufferPool::kPageBytes);
+  bulk.Prewarm(again);
+  AdmitEach(&twin, again);
+  EXPECT_GT(bulk.forced_dirty_evictions(), 0);
+  EXPECT_EQ(bulk.forced_dirty_evictions(), twin.forced_dirty_evictions());
+  ExpectSameUnderTrace(&bulk, &twin, 13);
+}
+
+TEST(BufferPoolPrewarmTest, PrewarmAfterClearMatchesPerPageAdmit) {
+  const std::vector<PageRun> runs = {{PageId{0, 0}, 100},
+                                     {PageId{3, 500}, 100}};
+  BufferPool bulk(512 * BufferPool::kPageBytes);
+  BufferPool twin(512 * BufferPool::kPageBytes);
+  for (BufferPool* pool : {&bulk, &twin}) {
+    AdmitEach(pool, std::vector<PageRun>{{PageId{1, 0}, 500}});
+    pool->MarkDirty(PageId{1, 3});
+    pool->Clear();
+  }
+  bulk.Prewarm(runs);
+  AdmitEach(&twin, runs);
+  ExpectSameUnderTrace(&bulk, &twin, 14);
+}
+
+TEST(BufferPoolPrewarmTest, CloneBehavesLikeItsSource) {
+  const std::vector<PageRun> runs = {{PageId{0, 0}, 350},
+                                     {PageId{2, 0}, 350}};
+  BufferPool source(768 * BufferPool::kPageBytes);
+  source.Prewarm(runs);
+  // Give the source a non-trivial recency and dirty state to copy.
+  for (int64_t page = 0; page < 350; page += 5) {
+    source.Touch(PageId{2, page});
+    source.MarkDirty(PageId{0, page});
+  }
+  BufferPool clone(768 * BufferPool::kPageBytes);
+  clone.CloneFrom(source);
+  EXPECT_EQ(clone.resident_pages(), source.resident_pages());
+  EXPECT_EQ(clone.dirty_pages(), source.dirty_pages());
+  EXPECT_EQ(clone.hits(), 0);
+  ExpectSameUnderTrace(&clone, &source, 15);
 }
 
 TEST(LinkTest, ProfilesMatchPaperTableIV) {
