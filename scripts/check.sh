@@ -46,8 +46,9 @@ run_suite() {
 # (fault), §4h (load), §4k (a multi-tenant row: tenant cells plus the
 # MergeTenantRows fold, with the tenant rows in the JSONL) and §4l (chaos,
 # with the per-oracle verdict rows; the sweep exits non-zero when an oracle
-# fails, so that row is also a correctness gate) and Table IX (55 sub-cells
-# of five kinds).
+# fails, so that row is also a correctness gate), Table IX (55 sub-cells
+# of five kinds) and Fig. 8 (the one bench that shrinks a warm pool and
+# prewarms it again, page by page against its cold prewarmed pages).
 DETERMINISM_ROWS=(
   "runner|bench_runner_demo||--jobs=1|--jobs=2"
   "timeline|bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
@@ -57,6 +58,7 @@ DETERMINISM_ROWS=(
   "cell_jobs|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "chaos|bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
   "table9|bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "fig8|bench_fig8_buffersize|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
 )
 
 determinism_smoke() {

@@ -272,31 +272,10 @@ void Cluster::PrewarmBuffers() {
     }
     return runs;
   };
-  // Empty pools of one shape (capacity, table offset) end up identical, so
-  // the first is filled and the rest (the RO nodes) copy it. A pool that is
-  // already warm (a re-prewarm after a buffer resize) admits only what it
-  // is missing.
-  struct Filled {
-    int64_t capacity_pages;
-    int32_t table_offset;
-    const BufferPool* pool;
-  };
-  std::vector<Filled> filled;
   for (const auto& node : nodes_) {
     BufferPool& pool = node->buffer();
-    int32_t offset = node->config().page_table_offset;
-    bool empty = pool.resident_pages() == 0;
-    auto same_shape = std::find_if(
-        filled.begin(), filled.end(), [&](const Filled& f) {
-          return f.capacity_pages == pool.capacity_pages() &&
-                 f.table_offset == offset;
-        });
-    if (empty && same_shape != filled.end()) {
-      pool.CloneFrom(*same_shape->pool);
-      continue;
-    }
-    pool.Prewarm(runs_for(pool.capacity_pages(), offset));
-    if (empty) filled.push_back({pool.capacity_pages(), offset, &pool});
+    pool.Prewarm(runs_for(pool.capacity_pages(),
+                          node->config().page_table_offset));
   }
   if (remote_buffer_ != nullptr) {
     remote_buffer_->Prewarm(

@@ -77,8 +77,10 @@ class RemoteBufferPool {
   /// invalidation refresh keeps it current).
   void Admit(storage::PageId page);
 
-  /// Deploy-time warm-up (BufferPool::Prewarm): counts neither hits nor
-  /// misses, so hit_rate() reflects only the traffic that follows.
+  /// Deploy-time warm-up (BufferPool::Prewarm): an empty pool records the
+  /// pages as a cold segment and gives a page a frame on first use. Counts
+  /// neither hits nor misses, so hit_rate() reflects only the traffic that
+  /// follows.
   void Prewarm(std::span<const storage::PageRun> runs) { pool_.Prewarm(runs); }
 
   int64_t capacity_bytes() const { return pool_.capacity_bytes(); }

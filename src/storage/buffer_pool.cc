@@ -9,14 +9,6 @@ namespace cloudybench::storage {
 
 namespace {
 
-/// Smallest power of two >= n, at least 16 (keeps the probe mask useful for
-/// tiny pools).
-size_t IndexSizeFor(size_t n) {
-  size_t size = 16;
-  while (size < n) size <<= 1;
-  return size;
-}
-
 /// True when two non-empty runs share a page.
 bool RunsOverlap(std::span<const PageRun> runs) {
   for (size_t i = 0; i < runs.size(); ++i) {
@@ -38,7 +30,7 @@ bool RunsOverlap(std::span<const PageRun> runs) {
 BufferPool::BufferPool(int64_t capacity_bytes) {
   CB_CHECK_GT(capacity_bytes, 0);
   capacity_pages_ = std::max<int64_t>(1, capacity_bytes / kPageBytes);
-  ResetIndex(IndexSizeFor(16));
+  ResetIndex(16);
 }
 
 // ---------------------------------------------------------------- index
@@ -74,9 +66,11 @@ void BufferPool::IndexErase(PageId page) {
 }
 
 void BufferPool::GrowIndexIfNeeded() {
-  // Keep load factor <= 0.5 so probe chains stay short.
-  if (static_cast<size_t>(resident_ + 1) * 2 <= index_.size()) return;
-  ResetIndex(IndexSizeFor(index_.size() * 2));
+  // Keep load factor <= 0.5 so probe chains stay short. Only framed pages
+  // take a slot; the page about to be indexed is not framed yet.
+  const int64_t framed = resident_ - cold_count_;
+  if (static_cast<size_t>(framed + 1) * 2 <= index_.size()) return;
+  ResetIndex(index_.size() * 2);
   for (int32_t f = lru_head_; f != kNil;
        f = frames_[static_cast<size_t>(f)].lru_next) {
     IndexInsert(frames_[static_cast<size_t>(f)].page, f);
@@ -111,6 +105,29 @@ void BufferPool::LruUnlink(int32_t f) {
     frames_[static_cast<size_t>(frame.lru_next)].lru_prev = frame.lru_prev;
   } else {
     lru_tail_ = frame.lru_prev;
+  }
+}
+
+void BufferPool::LruInsertByStamp(int32_t f) {
+  Frame& frame = frames_[static_cast<size_t>(f)];
+  int32_t older = kNil;
+  int32_t newer = lru_tail_;
+  while (newer != kNil &&
+         frames_[static_cast<size_t>(newer)].stamp < frame.stamp) {
+    older = newer;
+    newer = frames_[static_cast<size_t>(newer)].lru_prev;
+  }
+  frame.lru_prev = newer;
+  frame.lru_next = older;
+  if (newer != kNil) {
+    frames_[static_cast<size_t>(newer)].lru_next = f;
+  } else {
+    lru_head_ = f;
+  }
+  if (older != kNil) {
+    frames_[static_cast<size_t>(older)].lru_prev = f;
+  } else {
+    lru_tail_ = f;
   }
 }
 
@@ -159,9 +176,85 @@ void BufferPool::DirtyInsertOrdered(int32_t f) {
   }
 }
 
+// --------------------------------------------------------- cold segment
+
+int64_t BufferPool::ColdPosition(PageId page) const {
+  for (const ColdRun& cold : cold_runs_) {
+    const PageRun& run = cold.run;
+    if (run.first.table == page.table && page.page_no >= run.first.page_no &&
+        page.page_no < run.first.page_no + run.count) {
+      int64_t pos = cold.start + (page.page_no - run.first.page_no);
+      bool cold_bit = (cold_bits_[static_cast<size_t>(pos >> 6)] >>
+                       (pos & 63)) & 1;
+      return cold_bit ? pos : -1;
+    }
+  }
+  return -1;
+}
+
+PageId BufferPool::ColdPage(int64_t pos) const {
+  for (const ColdRun& cold : cold_runs_) {
+    if (pos < cold.start + cold.run.count) {
+      return PageId{cold.run.first.table,
+                    cold.run.first.page_no + (pos - cold.start)};
+    }
+  }
+  CB_CHECK(false) << "ColdPage: position " << pos << " past the segment";
+  return {};
+}
+
+int64_t BufferPool::FirstCold() {
+  while (cold_bits_[cold_cursor_] == 0) ++cold_cursor_;
+  return static_cast<int64_t>(cold_cursor_ * 64) +
+         std::countr_zero(cold_bits_[cold_cursor_]);
+}
+
+void BufferPool::ClearCold(int64_t pos) {
+  cold_bits_[static_cast<size_t>(pos >> 6)] &= ~(uint64_t{1} << (pos & 63));
+  if (--cold_count_ == 0) DropColdSegment();
+}
+
+void BufferPool::DropColdSegment() {
+  cold_runs_.clear();
+  cold_bits_.clear();
+  cold_cursor_ = 0;
+  cold_count_ = 0;
+}
+
+int32_t BufferPool::FrameCold(int64_t pos, PageId page, uint64_t stamp) {
+  // NewFrame sizes the index while the page still counts as cold.
+  int32_t f = NewFrame(page, stamp);
+  ClearCold(pos);
+  return f;
+}
+
+bool BufferPool::TouchCold(PageId page) {
+  int64_t pos = ColdPosition(page);
+  if (pos < 0) return false;
+  LruPushFront(FrameCold(pos, page, ++clock_));
+  return true;
+}
+
 // ------------------------------------------------------------ operations
 
 void BufferPool::EvictOne(AdmitResult* result) {
+  if (cold_count_ > 0) {
+    // The victim is the older of the LRU tail and the oldest cold page. A
+    // cold page is clean and has no frame or index slot to release.
+    int64_t pos = FirstCold();
+    if (lru_tail_ == kNil ||
+        cold_base_ + static_cast<uint64_t>(pos) + 1 <
+            frames_[static_cast<size_t>(lru_tail_)].stamp) {
+      PageId page = ColdPage(pos);
+      ClearCold(pos);
+      --resident_;
+      if (result != nullptr) {
+        result->evicted = true;
+        result->victim = page;
+      }
+      return;
+    }
+  }
   CB_CHECK(lru_tail_ != kNil);
   int32_t f = lru_tail_;
   Frame& victim = frames_[static_cast<size_t>(f)];
@@ -182,12 +275,7 @@ void BufferPool::EvictOne(AdmitResult* result) {
   free_frames_.push_back(f);
 }
 
-BufferPool::AdmitResult BufferPool::Admit(PageId page) {
-  AdmitResult result;
-  if (FindFrame(page) != kNil) return result;  // raced in already
-  if (resident_ >= capacity_pages_) {
-    EvictOne(&result);
-  }
+int32_t BufferPool::NewFrame(PageId page, uint64_t stamp) {
   int32_t f;
   if (!free_frames_.empty()) {
     f = free_frames_.back();
@@ -200,10 +288,21 @@ BufferPool::AdmitResult BufferPool::Admit(PageId page) {
   frame.page = page;
   frame.dirty = false;
   frame.dirty_prev = frame.dirty_next = kNil;
-  frame.stamp = ++clock_;
-  LruPushFront(f);
+  frame.stamp = stamp;
+  // Grow before the frame joins the LRU chain: the rehash walks that chain,
+  // so a linked frame would be indexed twice.
   GrowIndexIfNeeded();
   IndexInsert(page, f);
+  return f;
+}
+
+BufferPool::AdmitResult BufferPool::Admit(PageId page) {
+  AdmitResult result;
+  if (IsResident(page)) return result;  // raced in already, or still cold
+  if (resident_ >= capacity_pages_) {
+    EvictOne(&result);
+  }
+  LruPushFront(NewFrame(page, ++clock_));
   ++resident_;
   return result;
 }
@@ -224,60 +323,38 @@ void BufferPool::Prewarm(std::span<const PageRun> runs) {
     return;
   }
   if (n == 0) return;
-  // One pass over an empty pool, building what n Admits would: frame i
-  // holds the i-th page with stamp clock_ + i + 1, the LRU chain runs from
-  // the last page (head) back to the first (tail), and the index has the
-  // size per-page growth reaches. Reserving bit_ceil(n) frames matches the
-  // capacity emplace_back doubling leaves, so the first miss after the
-  // prewarm does not reallocate the whole frame vector.
-  frames_.clear();
-  free_frames_.clear();
+  // An empty pool records what n Admits would build without building it:
+  // the i-th page is resident with stamp clock_ + i + 1, so the first page
+  // of the first run is the LRU end and the last page the MRU end. A page
+  // gets its frame when the simulation first uses it. The reserve writes
+  // no frame (it is address space only), but it keeps the vector from
+  // growing by doubling as cold pages take frames, which would leave a
+  // trail of freed blocks that fragments the heap.
   frames_.reserve(std::bit_ceil(static_cast<size_t>(n)));
-  const auto last = static_cast<int32_t>(n - 1);
+  int64_t start = 0;
   for (const PageRun& run : runs) {
-    for (int64_t i = 0; i < run.count; ++i) {
-      const auto f = static_cast<int32_t>(frames_.size());
-      Frame frame;
-      frame.page = PageId{run.first.table, run.first.page_no + i};
-      frame.stamp = clock_ + static_cast<uint64_t>(f) + 1;
-      frame.lru_prev = f == last ? kNil : f + 1;
-      frame.lru_next = f == 0 ? kNil : f - 1;
-      frames_.push_back(frame);
-    }
+    if (run.count == 0) continue;
+    cold_runs_.push_back(ColdRun{run, start});
+    start += run.count;
   }
+  const auto words = static_cast<size_t>((n + 63) / 64);
+  cold_bits_.assign(words, ~uint64_t{0});
+  if (n % 64 != 0) cold_bits_.back() = (uint64_t{1} << (n % 64)) - 1;
+  cold_base_ = clock_;
+  cold_count_ = n;
   clock_ += static_cast<uint64_t>(n);
-  lru_head_ = last;
-  lru_tail_ = 0;
   resident_ = n;
-  ResetIndex(std::max(index_.size(), IndexSizeFor(static_cast<size_t>(n) * 2)));
-  for (int32_t f = 0; f <= last; ++f) {
-    IndexInsert(frames_[static_cast<size_t>(f)].page, f);
-  }
-}
-
-void BufferPool::CloneFrom(const BufferPool& source) {
-  CB_CHECK_EQ(resident_, 0);
-  CB_CHECK_EQ(capacity_pages_, source.capacity_pages_);
-  // Keep the source's spare frame capacity, for the same reason Prewarm
-  // reserves it.
-  frames_.reserve(source.frames_.capacity());
-  frames_.assign(source.frames_.begin(), source.frames_.end());
-  free_frames_ = source.free_frames_;
-  index_ = source.index_;
-  index_mask_ = source.index_mask_;
-  index_shift_ = source.index_shift_;
-  lru_head_ = source.lru_head_;
-  lru_tail_ = source.lru_tail_;
-  dirty_head_ = source.dirty_head_;
-  dirty_tail_ = source.dirty_tail_;
-  resident_ = source.resident_;
-  dirty_count_ = source.dirty_count_;
-  clock_ = source.clock_;
 }
 
 void BufferPool::MarkDirty(PageId page) {
   int32_t f = FindFrame(page);
-  if (f == kNil) return;
+  if (f == kNil) {
+    int64_t pos = cold_count_ > 0 ? ColdPosition(page) : -1;
+    if (pos < 0) return;
+    // Dirtied before its first use: the page keeps its prewarm recency.
+    f = FrameCold(pos, page, cold_base_ + static_cast<uint64_t>(pos) + 1);
+    LruInsertByStamp(f);
+  }
   Frame& frame = frames_[static_cast<size_t>(f)];
   if (!frame.dirty) {
     frame.dirty = true;
@@ -335,6 +412,7 @@ void BufferPool::Clear() {
   lru_head_ = lru_tail_ = dirty_head_ = dirty_tail_ = kNil;
   resident_ = 0;
   dirty_count_ = 0;
+  DropColdSegment();
 }
 
 }  // namespace cloudybench::storage

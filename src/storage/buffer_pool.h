@@ -32,7 +32,9 @@ struct PageRun {
 /// the page was touched). The page index is open-addressing with
 /// fibonacci hashing and backward-shift deletion. Steady-state Touch/Admit/
 /// MarkDirty/TakeDirty therefore never allocate, and TakeDirty is O(pages
-/// taken) instead of O(pages resident).
+/// taken) instead of O(pages resident). Pages a Prewarm left untouched sit
+/// in a cold segment (a run list plus a bitset) with no frame or index slot;
+/// they are resident and clean and keep the recency stamp Prewarm gave them.
 class BufferPool {
  public:
   static constexpr int32_t kPageBytes = 8192;
@@ -62,16 +64,12 @@ class BufferPool {
 
   /// Bulk warm-up: leaves the pool in the same state as calling Admit on
   /// every page of `runs` in order; the runs must not share a page. An
-  /// empty pool that can hold every page is filled in one pass (DESIGN.md
-  /// §4f); any other pool takes the per-page Admit path, skipping resident
-  /// pages and evicting as usual. Counts neither hits nor misses.
+  /// empty pool that can hold every page keeps them as a cold segment and
+  /// gives a page a frame only on first use (DESIGN.md §4f), so the cost is
+  /// O(pages / 64) whatever the pool size. Any other pool takes the
+  /// per-page Admit path, skipping resident pages and evicting as usual.
+  /// Counts neither hits nor misses.
   void Prewarm(std::span<const PageRun> runs);
-
-  /// Makes this empty pool a copy of `source`'s pages, recency order and
-  /// dirty state; both pools must have the same capacity. This pool keeps
-  /// its own hit/miss/eviction counters. Cloning a pool that was prewarmed
-  /// from empty gives the state the same Prewarm would.
-  void CloneFrom(const BufferPool& source);
 
   /// Marks a resident page dirty; no-op when not resident (the engine may
   /// have evicted it between access and mark in pathological interleavings).
@@ -79,7 +77,10 @@ class BufferPool {
   /// Clears the dirty bit (page written back).
   void MarkClean(PageId page);
 
-  bool IsResident(PageId page) const { return FindFrame(page) >= 0; }
+  bool IsResident(PageId page) const {
+    return FindFrame(page) != kNil ||
+           (cold_count_ > 0 && ColdPosition(page) >= 0);
+  }
   bool IsDirty(PageId page) const;
 
   /// Takes up to `max_pages` dirty pages in LRU order and clears their dirty
@@ -122,6 +123,25 @@ class BufferPool {
   };
 
   void EvictOne(AdmitResult* result);
+  /// Takes a frame for `page` with recency `stamp` and indexes it; the
+  /// caller links it into the LRU chain and counts it resident.
+  int32_t NewFrame(PageId page, uint64_t stamp);
+
+  // ---- cold segment (pages a Prewarm left without a frame) ----
+  /// The cold segment's position of `page`, or -1 when it is not cold.
+  int64_t ColdPosition(PageId page) const;
+  /// The page at cold segment position `pos`.
+  PageId ColdPage(int64_t pos) const;
+  /// Lowest position still cold, i.e. the oldest cold page.
+  int64_t FirstCold();
+  /// Clears `pos`; the segment is dropped once its last page leaves.
+  void ClearCold(int64_t pos);
+  void DropColdSegment();
+  /// Gives cold page `page` (at `pos`) a frame with recency `stamp`.
+  int32_t FrameCold(int64_t pos, PageId page, uint64_t stamp);
+  /// Touch's miss path: a cold page becomes the MRU frame. False when
+  /// `page` is not cold.
+  bool TouchCold(PageId page);
 
   // ---- page index (open addressing, power-of-two, fibonacci hash) ----
   size_t Slot(PageId page) const {
@@ -149,6 +169,9 @@ class BufferPool {
   // ---- intrusive lists ----
   void LruPushFront(int32_t f);
   void LruUnlink(int32_t f);
+  /// Links `f` into the LRU chain by stamp, walking from the tail: only a
+  /// cold page dirtied before its first use has a stamp below the head's.
+  void LruInsertByStamp(int32_t f);
   void DirtyUnlink(int32_t f);
   /// Inserts `f` into the dirty chain keeping it sorted by stamp
   /// (descending from head). O(1) when the page was just touched — the
@@ -159,10 +182,9 @@ class BufferPool {
   int64_t resident_ = 0;
   uint64_t clock_ = 0;
 
-  // Frames and index are the two arrays a deploy fills and every Touch
-  // probes at random; a large pool backs them with huge pages, which cuts
-  // both the first-touch page faults of a prewarm and the TLB misses of
-  // the simulation that follows.
+  // Frames and index are the two arrays every Touch probes at random; a
+  // large pool backs them with huge pages, which cuts the TLB misses of
+  // those probes.
   std::vector<Frame, util::HugePageAllocator<Frame>> frames_;
   std::vector<int32_t> free_frames_;
   int32_t lru_head_ = kNil;   ///< MRU end
@@ -175,6 +197,20 @@ class BufferPool {
   size_t index_mask_ = 0;
   int index_shift_ = 64;
 
+  /// One prewarm run and the cold segment position of its first page.
+  struct ColdRun {
+    PageRun run;
+    int64_t start = 0;
+  };
+  // Position p of the cold segment is the p-th prewarmed page; it has
+  // recency stamp cold_base_ + p + 1 and is cold while bit p is set.
+  // cold_count_ counts the set bits and is part of resident_.
+  std::vector<ColdRun> cold_runs_;
+  std::vector<uint64_t> cold_bits_;
+  size_t cold_cursor_ = 0;  ///< no set bit in the words below it
+  uint64_t cold_base_ = 0;
+  int64_t cold_count_ = 0;
+
   int64_t dirty_count_ = 0;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
@@ -184,6 +220,10 @@ class BufferPool {
 inline bool BufferPool::Touch(PageId page) {
   int32_t f = FindFrame(page);
   if (f == kNil) {
+    if (cold_count_ > 0 && TouchCold(page)) {
+      ++hits_;
+      return true;
+    }
     ++misses_;
     return false;
   }

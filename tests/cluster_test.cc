@@ -398,10 +398,10 @@ TEST(ClusterTest, Cdb4RemoteBufferStaysWarmAcrossRestart) {
 }
 
 TEST(ClusterTest, PrewarmedRoPoolsMatchTheRwPool) {
-  // PrewarmBuffers fills the RW pool once and copies it into each RO pool of
-  // the same shape. Check the copies over the whole page space, both with
-  // the profile's buffer (every page fits) and with a buffer that holds only
-  // a fraction of each table.
+  // PrewarmBuffers prewarms every pool on its own; pools of the same shape
+  // must end up holding the same pages. Check over the whole page space,
+  // both with the profile's buffer (every page fits) and with a buffer that
+  // holds only a fraction of each table.
   for (int64_t buffer_pages : {int64_t{0}, int64_t{40}}) {
     sim::Environment env;
     ClusterConfig cfg = sut::MakeProfile(SutKind::kCdb4);

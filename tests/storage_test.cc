@@ -232,6 +232,18 @@ TEST(BufferPoolTest, ShrinkEvictsAndClearResets) {
   EXPECT_EQ(pool.resident_pages(), 0);
 }
 
+TEST(BufferPoolTest, IndexGrowthIndexesTheNewPageOnce) {
+  BufferPool pool(64 * BufferPool::kPageBytes);
+  // The ninth admit grows the 16-slot index; then the page it admitted
+  // becomes the LRU end and a shrink evicts it.
+  for (int64_t page = 0; page < 9; ++page) pool.Admit(PageId{0, page});
+  for (int64_t page = 0; page < 8; ++page) pool.Touch(PageId{0, page});
+  pool.SetCapacity(8 * BufferPool::kPageBytes);
+  EXPECT_FALSE(pool.IsResident(PageId{0, 8}));
+  EXPECT_FALSE(pool.Touch(PageId{0, 8}));
+  EXPECT_EQ(pool.resident_pages(), 8);
+}
+
 TEST(BufferPoolTest, HigherCapacityNeverLowersHitRate) {
   // Property: for the same reference string, a bigger LRU pool hits at
   // least as often (LRU inclusion property).
@@ -592,7 +604,7 @@ TEST(BufferPoolTraceTest, MatchesReferenceModelOnRandom100kOpTrace) {
 // ------------------------------------------------- BufferPool bulk prewarm
 
 // Prewarm's contract is "the same state as Admit on each page in order".
-// Each case below builds one pool through Prewarm (or CloneFrom) and a twin
+// Each case below builds one pool through Prewarm and a twin
 // through a per-page Admit loop, then drives both with one random trace:
 // any difference in LRU order, stamps, index or dirty chain shows up as a
 // different hit, victim or TakeDirty order.
@@ -740,22 +752,100 @@ TEST(BufferPoolPrewarmTest, PrewarmAfterClearMatchesPerPageAdmit) {
   ExpectSameUnderTrace(&bulk, &twin, 14);
 }
 
-TEST(BufferPoolPrewarmTest, CloneBehavesLikeItsSource) {
-  const std::vector<PageRun> runs = {{PageId{0, 0}, 350},
-                                     {PageId{2, 0}, 350}};
-  BufferPool source(768 * BufferPool::kPageBytes);
-  source.Prewarm(runs);
-  // Give the source a non-trivial recency and dirty state to copy.
-  for (int64_t page = 0; page < 350; page += 5) {
-    source.Touch(PageId{2, page});
-    source.MarkDirty(PageId{0, page});
+TEST(BufferPoolPrewarmTest, DirtiedColdPageKeepsItsPrewarmRecency) {
+  // MarkDirty on a page no one has used yet gives it a frame at its prewarm
+  // stamp, so admits at capacity still evict in prewarm order and report
+  // the dirty victim exactly at that page.
+  const std::vector<PageRun> runs = {{PageId{0, 0}, 200},
+                                     {PageId{1, 0}, 312}};
+  auto prewarmed = [](int64_t pos) {
+    return pos < 200 ? PageId{0, pos} : PageId{1, pos - 200};
+  };
+  const PageId middle{1, 10};
+  BufferPool bulk(512 * BufferPool::kPageBytes);
+  BufferPool twin(512 * BufferPool::kPageBytes);
+  bulk.Prewarm(runs);
+  AdmitEach(&twin, runs);
+  for (BufferPool* pool : {&bulk, &twin}) {
+    pool->MarkDirty(middle);
+    ASSERT_TRUE(pool->IsDirty(middle));
+    for (int64_t pos = 0; pos < 300; ++pos) {
+      BufferPool::AdmitResult admitted = pool->Admit(PageId{3, pos});
+      ASSERT_TRUE(admitted.evicted) << "pos " << pos;
+      ASSERT_EQ(admitted.victim, prewarmed(pos)) << "pos " << pos;
+      ASSERT_EQ(admitted.victim_dirty, admitted.victim == middle)
+          << "pos " << pos;
+    }
+    EXPECT_EQ(pool->forced_dirty_evictions(), 1);
   }
-  BufferPool clone(768 * BufferPool::kPageBytes);
-  clone.CloneFrom(source);
-  EXPECT_EQ(clone.resident_pages(), source.resident_pages());
-  EXPECT_EQ(clone.dirty_pages(), source.dirty_pages());
-  EXPECT_EQ(clone.hits(), 0);
-  ExpectSameUnderTrace(&clone, &source, 15);
+  ExpectSameUnderTrace(&bulk, &twin, 15);
+}
+
+TEST(BufferPoolPrewarmTest, ShrinkEvictsThroughTheColdSegment) {
+  const std::vector<PageRun> runs = {{PageId{0, 0}, 300},
+                                     {PageId{2, 100}, 300}};
+  BufferPool bulk(1024 * BufferPool::kPageBytes);
+  BufferPool twin(1024 * BufferPool::kPageBytes);
+  bulk.Prewarm(runs);
+  AdmitEach(&twin, runs);
+  for (BufferPool* pool : {&bulk, &twin}) {
+    for (int64_t page = 0; page <= 50; page += 5) {
+      ASSERT_TRUE(pool->Touch(PageId{0, page}));
+    }
+    pool->MarkDirty(PageId{0, 10});
+    pool->MarkDirty(PageId{0, 100});  // never touched: evicted dirty below
+    pool->SetCapacity(400 * BufferPool::kPageBytes);
+    EXPECT_EQ(pool->resident_pages(), 400);
+    EXPECT_EQ(pool->forced_dirty_evictions(), 1);
+    EXPECT_TRUE(pool->IsResident(PageId{0, 0}));
+    EXPECT_FALSE(pool->IsResident(PageId{0, 1}));
+    EXPECT_FALSE(pool->IsResident(PageId{0, 100}));
+    EXPECT_TRUE(pool->IsDirty(PageId{0, 10}));
+  }
+  ExpectSameUnderTrace(&bulk, &twin, 16);
+}
+
+TEST(BufferPoolPrewarmTest, ClearDropsTheColdSegment) {
+  const std::vector<PageRun> first = {{PageId{1, 0}, 400}};
+  const std::vector<PageRun> again = {{PageId{0, 0}, 100},
+                                      {PageId{3, 500}, 100}};
+  BufferPool bulk(512 * BufferPool::kPageBytes);
+  BufferPool twin(512 * BufferPool::kPageBytes);
+  bulk.Prewarm(first);
+  AdmitEach(&twin, first);
+  for (BufferPool* pool : {&bulk, &twin}) {
+    pool->Touch(PageId{1, 7});
+    pool->MarkDirty(PageId{1, 3});
+    pool->Clear();
+    EXPECT_EQ(pool->resident_pages(), 0);
+    EXPECT_EQ(pool->dirty_pages(), 0);
+    EXPECT_FALSE(pool->IsResident(PageId{1, 7}));
+    EXPECT_FALSE(pool->IsResident(PageId{1, 200}));
+    EXPECT_FALSE(pool->Touch(PageId{1, 200}));
+  }
+  bulk.Prewarm(again);
+  AdmitEach(&twin, again);
+  EXPECT_FALSE(bulk.IsResident(PageId{1, 300}));
+  ExpectSameUnderTrace(&bulk, &twin, 17);
+}
+
+TEST(BufferPoolPrewarmTest, MillionPagePoolEvictsFirstPageOfFirstRunFirst) {
+  constexpr int64_t kPages = int64_t{1} << 20;
+  const std::vector<PageRun> runs = {{PageId{2, 0}, kPages / 2},
+                                     {PageId{1, 0}, kPages / 2}};
+  BufferPool bulk(kPages * BufferPool::kPageBytes);
+  BufferPool twin(kPages * BufferPool::kPageBytes);
+  bulk.Prewarm(runs);
+  AdmitEach(&twin, runs);
+  ASSERT_EQ(bulk.resident_pages(), kPages);
+  for (BufferPool* pool : {&bulk, &twin}) {
+    BufferPool::AdmitResult admitted = pool->Admit(PageId{3, 7});
+    ASSERT_TRUE(admitted.evicted);
+    EXPECT_EQ(admitted.victim, (PageId{2, 0}));
+    admitted = pool->Admit(PageId{3, 8});
+    EXPECT_EQ(admitted.victim, (PageId{2, 1}));
+  }
+  ExpectSameUnderTrace(&bulk, &twin, 18);
 }
 
 TEST(LinkTest, ProfilesMatchPaperTableIV) {
