@@ -302,6 +302,45 @@ void BM_SimScheduleDispatchHandle(benchmark::State& state) {
 }
 BENCHMARK(BM_SimScheduleDispatchHandle);
 
+sim::Process NearFutureWorker(sim::Environment* env, int64_t first) {
+  // Delays of 50-149 us in a fixed per-worker cycle: a busy cell's mix of
+  // CPU slices, I/O completions and network hops.
+  for (int64_t k = first;; ++k) {
+    co_await env->Delay(sim::Micros(50 + (k * 37) % 100));
+  }
+}
+
+// A lock-timeout-shaped timer: fires, does nothing useful, and parks its
+// successor one timeout ahead, so the parked population stays constant.
+struct ParkedTimer {
+  sim::Environment* env;
+  void operator()() const {
+    env->ScheduleCall(env->Now() + sim::Seconds(5), ParkedTimer{env});
+  }
+};
+
+void BM_SimParkedTimers(benchmark::State& state) {
+  // The closed-loop queue shape: ~300 near-future events cycling through
+  // Delay/resume while ~6k far-future timers sit parked behind them (every
+  // lock wait parks a 5 s timeout that is never cancelled). Each iteration
+  // dispatches one event.
+  sim::Environment env;
+  constexpr int kWorkers = 300;
+  constexpr int kParked = 6000;
+  for (int i = 0; i < kParked; ++i) {
+    env.ScheduleCall(sim::Micros(1 + i * (5'000'000 / kParked)),
+                     ParkedTimer{&env});
+  }
+  for (int i = 0; i < kWorkers; ++i) {
+    env.Spawn(NearFutureWorker(&env, i));
+  }
+  for (auto _ : state) {
+    env.Step();
+  }
+  benchmark::DoNotOptimize(env.dispatched_events());
+}
+BENCHMARK(BM_SimParkedTimers);
+
 sim::Process NapMicro(sim::Environment* env) {
   co_await env->Delay(sim::Micros(1));
 }

@@ -92,11 +92,7 @@ void Environment::Run() {
 
 void Environment::RunUntil(SimTime t) {
   CB_CHECK_GE(t.us, now_.us);
-  // Ring entries are always at now_ (<= t), so only the heap top needs the
-  // window check; Step() itself dispatches in (time, seq) order.
-  while (ring_head_ < ring_.size() ||
-         (!queue_.empty() && queue_.Top().at_us <= t.us)) {
-    Step();
+  while (StepUntil(t.us)) {
   }
   now_ = t;
 }

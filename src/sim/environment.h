@@ -34,16 +34,17 @@ namespace cloudybench::sim {
 /// process-wide state an experiment touches (trace recorder, metric
 /// registry) is thread-local for the same reason.
 ///
-/// Hot-path layout (DESIGN.md §4f/§4i): events are 32-byte PODs on a 4-ary
-/// implicit min-heap; ScheduleCall closures live in a recycling slab and
-/// events carry only a slot index; ProcessState blocks come from a
-/// thread-local free list; detached-frame bookkeeping is a swap-remove
-/// vector indexed from the promise. Events scheduled at the *current*
-/// instant (waiter wakeups, zero-delay handoffs — the majority in an OLTP
-/// cell) skip the heap entirely and go to a FIFO ring drained before the
-/// clock advances. None of these change the (time, seq) dispatch order, so
-/// simulated results are bit-identical to the naive priority_queue
-/// implementation they replaced; see §4i for the ring's ordering proof.
+/// Hot-path layout (DESIGN.md §4f/§4i): events are 32-byte PODs in a
+/// monotone radix queue keyed on time; ScheduleCall closures live in a
+/// recycling slab and events carry only a slot index; ProcessState blocks
+/// come from a thread-local free list; detached-frame bookkeeping is a
+/// swap-remove vector indexed from the promise. Events scheduled at the
+/// *current* instant (waiter wakeups, zero-delay handoffs — the majority in
+/// an OLTP cell) skip the queue entirely and go to a FIFO ring drained
+/// before the clock advances. None of these change the (time, seq)
+/// dispatch order, so simulated results are bit-identical to the naive
+/// priority_queue implementation they replaced; see §4f for the ordering
+/// proof.
 class Environment {
  public:
   Environment() = default;
@@ -94,10 +95,10 @@ class Environment {
   }
 
   /// Dispatches the next event. Returns false when the queue is empty.
-  /// Defined inline below — one schedule+dispatch round trip is the DES
-  /// kernel's unit of work, and resources/locks step the environment from
-  /// many translation units.
-  bool Step();
+  /// Inline (StepUntil is defined below) — one schedule+dispatch round trip
+  /// is the DES kernel's unit of work, and resources/locks step the
+  /// environment from many translation units.
+  bool Step() { return StepUntil(INT64_MAX); }
 
   /// Runs until the event queue drains.
   void Run();
@@ -126,6 +127,8 @@ class Environment {
     internal_task::PromiseBase* promise;
   };
 
+  /// Dispatches the next event if it is due at or before `limit_us`.
+  bool StepUntil(int64_t limit_us);    // inline, below
   void DispatchEvent(const Event& ev);  // inline, below
   void CollectFinished();               // out-of-line slow path
   void RemoveDetached(uint32_t index);
@@ -133,11 +136,13 @@ class Environment {
   SimTime now_{0};
   uint64_t next_seq_ = 0;
   uint64_t dispatched_ = 0;
-  EventHeap queue_;
+  // Events later than the instant they were scheduled at. Its refills
+  // never move its base past now_ (they happen only on dispatch).
+  EventQueue queue_;
   // Same-tick events in FIFO order (== seq order: all of them were created
-  // at the current instant, after every heap entry stamped with this time).
-  // Invariant: every ring entry has at_us == now_.us, because the ring is
-  // drained before the clock is allowed to advance.
+  // at the current instant, after every queued event stamped with this
+  // time). Invariant: every ring entry has at_us == now_.us, because the
+  // ring is drained before the clock is allowed to advance.
   std::vector<Event> ring_;
   size_t ring_head_ = 0;
   CallSlab calls_;
@@ -162,18 +167,21 @@ inline void Environment::DispatchEvent(const Event& ev) {
   if (!finished_.empty()) CollectFinished();
 }
 
-inline bool Environment::Step() {
-  // Dispatch order at the current instant: heap entries stamped now_ first
+inline bool Environment::StepUntil(int64_t limit_us) {
+  // Dispatch order at the current instant: queued events stamped now_ first
   // (they were scheduled before the clock reached now_, so they carry
   // smaller seqs than anything in the ring), then the ring in FIFO order.
-  // Only when both are out of same-tick work does the heap advance the
-  // clock. This reproduces the (at_us, seq) total order exactly.
-  if (!queue_.empty() && queue_.Top().at_us == now_.us) {
-    DispatchEvent(queue_.PopTop());
+  // Only when both are out of same-tick work does the queue refill and
+  // advance the clock. This reproduces the (at_us, seq) total order
+  // exactly. Queued events at now_ all sit in the queue's bucket 0, which
+  // is non-empty only while its base is now_.
+  Event ev;
+  if (queue_.PopBase(&ev)) {
+    DispatchEvent(ev);
     return true;
   }
   if (ring_head_ < ring_.size()) {
-    Event ev = ring_[ring_head_++];
+    ev = ring_[ring_head_++];
     if (ring_head_ == ring_.size()) {
       ring_.clear();
       ring_head_ = 0;
@@ -181,8 +189,8 @@ inline bool Environment::Step() {
     DispatchEvent(ev);
     return true;
   }
-  if (queue_.empty()) return false;
-  DispatchEvent(queue_.PopTop());
+  if (!queue_.PopNext(limit_us, &ev)) return false;
+  DispatchEvent(ev);
   return true;
 }
 

@@ -1,6 +1,9 @@
 #ifndef CLOUDYBENCH_SIM_EVENT_HEAP_H_
 #define CLOUDYBENCH_SIM_EVENT_HEAP_H_
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstdint>
 #include <functional>
@@ -9,16 +12,16 @@
 
 namespace cloudybench::sim {
 
-/// One scheduled DES event, kept deliberately POD-sized (32 bytes) so heap
-/// sift operations are plain memory moves. The total order is (at_us, seq);
-/// `seq` is unique per environment, so the order is total and dispatch is
+/// One scheduled DES event, kept deliberately POD-sized (32 bytes) so queue
+/// moves are plain memory copies. The total order is (at_us, seq); `seq` is
+/// unique per environment, so the order is total and dispatch is
 /// deterministic regardless of the container's internal layout.
 ///
 /// Exactly one of the two payloads is active: a coroutine handle (the common
 /// case — timer expiry, resource grant, join wakeup) or, when `handle` is
 /// null, an index into the environment's CallSlab holding a rare
 /// ScheduleCall closure. Keeping closures out of the event itself is what
-/// lets the heap move raw PODs instead of `std::function`s.
+/// lets the queue move raw PODs instead of `std::function`s.
 struct Event {
   int64_t at_us = 0;
   uint64_t seq = 0;
@@ -26,73 +29,114 @@ struct Event {
   uint32_t fn_slot = 0;
 };
 
-/// 4-ary implicit min-heap over Events ordered by (at_us, seq).
+/// Monotone radix queue over Events, keyed on `at_us` with `seq` breaking
+/// ties.
 ///
-/// Why 4-ary instead of the binary heap inside std::priority_queue: the
-/// tree is half as deep (fewer dependent compare-swap levels per push/pop)
-/// and the four children of a node sit in adjacent slots — one or two cache
-/// lines — so the extra compares per level are nearly free. With POD events
-/// a sift step is a 32-byte move, not a std::function move.
+/// Monotonicity: every pushed key is strictly greater than `base_`, the key
+/// of the last refill. The environment guarantees it — the queue only ever
+/// sees events later than `Now()`, and `Now()` never falls below a key the
+/// queue has handed out. Under that invariant an event's bucket is a pure
+/// function of its key and `base_`: bucket b > 0 holds the keys whose
+/// highest bit differing from `base_` is bit b-1, and bucket 0 holds the
+/// events at `base_` itself.
 ///
-/// Determinism: the key (at_us, seq) is a total order (seq is unique), so
-/// Pop() yields exactly the same sequence as any other correct
-/// priority queue — heap arity and internal layout cannot change results.
-class EventHeap {
+/// Pop takes bucket 0 front to back. When bucket 0 is empty, a refill takes
+/// the lowest non-empty bucket, moves `base_` to its smallest key and
+/// redistributes its events into strictly lower buckets (keys above the
+/// new base share more high bits with it), so each event moves down at
+/// most 64 times over its life. A push is one append to a bucket tail and
+/// a refill one sequential pass over a bucket, instead of a heap's
+/// data-dependent sift through lines the coroutine bodies have just
+/// evicted.
+///
+/// Seq order within a key: every bucket is always in seq order. Pushes
+/// append the largest seq yet, and a refill moves the events of one
+/// in-order bucket, in order, into buckets that were empty (it is the
+/// lowest non-empty one). So bucket 0 needs no sort, and the pop sequence
+/// is exactly the (at_us, seq) order of any other correct priority queue.
+///
+/// Refills happen only inside PopNext, i.e. only when the event is about to
+/// be dispatched. A peek that moved `base_` past `Now()` would break the
+/// invariant for events pushed afterwards at a time between the two.
+///
+/// Storage: one vector per bucket, cleared but never shrunk, so steady
+/// state allocates nothing. A bucket's first append reserves a ~2 KiB
+/// block instead of growing from one element: a fresh environment's deploy
+/// pushes its first events into a dozen or so empty buckets, and growing
+/// each by doubling from one element slowed e2ebench's open_sf10_ro
+/// deploys (`setup_s`) by 12-22% (docs/PERF.md "DES event queue").
+class EventQueue {
  public:
-  bool empty() const { return slots_.empty(); }
-  size_t size() const { return slots_.size(); }
-  void clear() { slots_.clear(); }
-  void reserve(size_t n) { slots_.reserve(n); }
+  size_t size() const { return size_; }
 
-  const Event& Top() const { return slots_.front(); }
-
+  /// Requires e.at_us > the key of every event popped so far.
   void Push(const Event& e) {
-    size_t hole = slots_.size();
-    slots_.push_back(e);  // grow first; the hole is then sifted up
-    size_t start = hole;
-    while (hole > 0) {
-      size_t parent = (hole - 1) >> 2;
-      if (!Before(e, slots_[parent])) break;
-      slots_[hole] = slots_[parent];
-      hole = parent;
-    }
-    if (hole != start) slots_[hole] = e;  // push_back already wrote `start`
+    int b = BucketOf(e.at_us);
+    Append(b, e);
+    occupied_ |= uint64_t{1} << (b - 1);
+    ++size_;
   }
 
-  /// Removes and returns the minimum event.
-  Event PopTop() {
-    Event top = slots_.front();
-    size_t n = slots_.size() - 1;
-    if (n > 0) {
-      // Sift the hole down, pulling up the smallest of each node's <= 4
-      // children, then drop the detached last element into the final hole.
-      Event last = slots_[n];
-      size_t hole = 0;
-      for (;;) {
-        size_t first_child = (hole << 2) + 1;
-        if (first_child >= n) break;
-        size_t best = first_child;
-        size_t end = first_child + 4 < n ? first_child + 4 : n;
-        for (size_t c = first_child + 1; c < end; ++c) {
-          if (Before(slots_[c], slots_[best])) best = c;
-        }
-        if (!Before(slots_[best], last)) break;
-        slots_[hole] = slots_[best];
-        hole = best;
-      }
-      slots_[hole] = last;
+  /// Pops the next event at the current base key, if any. While bucket 0
+  /// holds events the base is the environment's `Now()`.
+  bool PopBase(Event* out) {
+    std::vector<Event>& base = buckets_[0];
+    if (base_head_ == base.size()) return false;
+    *out = base[base_head_++];
+    if (base_head_ == base.size()) {
+      base.clear();
+      base_head_ = 0;
     }
-    slots_.pop_back();
-    return top;
+    --size_;
+    return true;
+  }
+
+  /// Pops the minimum event if its key is <= `limit`, refilling bucket 0
+  /// from the lowest non-empty bucket first. Leaves the queue untouched and
+  /// returns false when the queue is empty or every key is above `limit`.
+  bool PopNext(int64_t limit, Event* out) {
+    if (PopBase(out)) return true;
+    return Refill(limit) && PopBase(out);
   }
 
  private:
-  static bool Before(const Event& a, const Event& b) {
-    if (a.at_us != b.at_us) return a.at_us < b.at_us;
-    return a.seq < b.seq;
+  static constexpr size_t kFirstReserve = 64;  // events: 2 KiB
+
+  int BucketOf(int64_t at_us) const {
+    return std::bit_width(static_cast<uint64_t>(at_us) ^ base_);
   }
 
-  std::vector<Event> slots_;
+  void Append(int b, const Event& e) {
+    std::vector<Event>& bucket = buckets_[b];
+    if (bucket.capacity() == 0) bucket.reserve(kFirstReserve);
+    bucket.push_back(e);
+  }
+
+  // Out of line so the same-tick fast paths of Environment::StepUntil stay
+  // small enough to inline into every dispatch loop.
+  [[gnu::noinline]] bool Refill(int64_t limit) {
+    if (occupied_ == 0) return false;
+    int b = std::countr_zero(occupied_) + 1;
+    std::vector<Event>& src = buckets_[b];
+    int64_t min_at = src.front().at_us;
+    for (const Event& e : src) min_at = std::min(min_at, e.at_us);
+    if (min_at > limit) return false;
+    base_ = static_cast<uint64_t>(min_at);
+    for (const Event& e : src) {
+      int nb = BucketOf(e.at_us);
+      Append(nb, e);
+      if (nb > 0) occupied_ |= uint64_t{1} << (nb - 1);
+    }
+    src.clear();
+    occupied_ &= ~(uint64_t{1} << (b - 1));
+    return true;
+  }
+
+  uint64_t base_ = 0;
+  size_t size_ = 0;
+  size_t base_head_ = 0;  ///< next unpopped event in bucket 0
+  uint64_t occupied_ = 0;  ///< bit b-1 set iff bucket b > 0 is non-empty
+  std::array<std::vector<Event>, 65> buckets_;
 };
 
 /// Recycling slab for the rare ScheduleCall closures. Slots are reused via

@@ -13,15 +13,25 @@
 // log2-linear HDR buckets (≤0.78% error), shifting reported p50/p99 by one
 // digit in the last place. tps/commits/costs are untouched — only quantile
 // representation changed, not the simulated schedule.
+//
+// Two more lines pin the event order itself under the shapes that stress
+// the DES queue: a contended CDB4 cell whose lock waits park thousands of
+// far-future timeout timers, and an open-loop chaos case with an RO crash.
+// Both were captured before the 4-ary event heap was replaced by the radix
+// queue (DESIGN.md §4f) and reproduced unchanged after it.
 
 #include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
+#include "chaos/harness.h"
+#include "core/evaluators.h"
+#include "fault/fault.h"
 #include "runner/matrix.h"
 #include "runner/oltp_cell.h"
 #include "runner/runner.h"
+#include "util/string_util.h"
 
 namespace cloudybench::runner {
 namespace {
@@ -44,6 +54,14 @@ constexpr const char* kGoldenRo =
     "\"buffer_hit_pct\":85.3,\"vcores\":4,\"memory_gb\":16,"
     "\"storage_gb\":0.4,\"iops\":1000,\"net_gbps\":10}";
 
+constexpr const char* kGoldenContendedCdb4 =
+    "tps=19960 p50_ms=5.47 p99_ms=51.46 commits=13622 aborts=0 "
+    "lock_waits=7637 lock_timeouts=0 events=62953 pending=7749";
+
+constexpr const char* kGoldenChaosRoCrash =
+    "commits=1250 aborts=0 acked=273 armed=1 skipped=0 drained=1 "
+    "sim_s=16.000000 oracles=pass";
+
 CellSpec SmallSpec(std::string pattern, uint64_t seed) {
   CellSpec spec;
   spec.sut = sut::SutKind::kAwsRds;
@@ -54,6 +72,57 @@ CellSpec SmallSpec(std::string pattern, uint64_t seed) {
   spec.warmup = sim::Millis(200);
   spec.measure = sim::Millis(500);
   return spec;
+}
+
+/// High-concurrency latest-10 RW on CDB4: most writers collide on the
+/// newest orders, so lock waits park their 5 s timeout timers far in the
+/// event queue's future while near-future work cycles past them. The line
+/// carries the lock and event counts besides the headline numbers.
+std::string ContendedLine(int64_t* lock_waits) {
+  CellSpec spec = SmallSpec("RW", 7);
+  spec.sut = sut::SutKind::kCdb4;
+  spec.concurrency = 200;
+  SalesWorkloadConfig cfg = SalesConfigFor(spec);
+  cfg.distribution = AccessDistribution::kLatest;
+  SalesTransactionSet txns(cfg);
+  CellDeployment rig(spec, txns.Schemas());
+  OltpEvaluator::Options options;
+  options.concurrency = spec.concurrency;
+  options.warmup = spec.warmup;
+  options.measure = spec.measure;
+  OltpResult r = OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns,
+                                    options);
+  const txn::LockManager& locks = rig.cluster->rw()->locks();
+  *lock_waits = locks.waits();
+  return util::StringPrintf(
+      "tps=%.0f p50_ms=%.2f p99_ms=%.2f commits=%lld aborts=%lld "
+      "lock_waits=%lld lock_timeouts=%lld events=%llu pending=%zu",
+      r.mean_tps, r.p50_latency_ms, r.p99_latency_ms,
+      static_cast<long long>(r.commits), static_cast<long long>(r.aborts),
+      static_cast<long long>(locks.waits()),
+      static_cast<long long>(locks.timeouts()),
+      static_cast<unsigned long long>(rig.env.dispatched_events()),
+      rig.env.pending_events());
+}
+
+/// One open-loop chaos case (Poisson arrivals, an RO crash mid-window)
+/// folded into a line: headline counters plus the oracle verdict.
+std::string ChaosLine() {
+  chaos::CaseOptions options;
+  options.sut = sut::SutKind::kCdb3;
+  options.seed = 7;
+  options.arrivals = "process=poisson,rate=400";
+  options.measure = sim::Seconds(3);
+  chaos::CaseOutcome outcome = chaos::RunChaosCase(
+      *fault::ParseFaultPlan("kind=crash,target=ro,at=1s"), options);
+  return util::StringPrintf(
+      "commits=%lld aborts=%lld acked=%lld armed=%d skipped=%d drained=%d "
+      "sim_s=%.6f oracles=%s",
+      static_cast<long long>(outcome.commits),
+      static_cast<long long>(outcome.aborts),
+      static_cast<long long>(outcome.acked_commits), outcome.armed,
+      outcome.skipped, outcome.drained ? 1 : 0, outcome.sim_seconds,
+      outcome.report.Summary().c_str());
 }
 
 std::string RunLine(const CellSpec& spec) {
@@ -73,6 +142,18 @@ TEST(GoldenCellTest, RwCellArtifactLineIsStable) {
 
 TEST(GoldenCellTest, RoCellArtifactLineIsStable) {
   EXPECT_EQ(RunLine(SmallSpec("RO", 7)), kGoldenRo);
+}
+
+TEST(GoldenCellTest, ContendedCdb4CellIsStable) {
+  int64_t lock_waits = 0;
+  EXPECT_EQ(ContendedLine(&lock_waits), kGoldenContendedCdb4);
+  // Guards the cell against drifting into an uncontended shape, where it
+  // would stop exercising parked timers.
+  EXPECT_GT(lock_waits, 100);
+}
+
+TEST(GoldenCellTest, OpenLoopRoCrashChaosCaseIsStable) {
+  EXPECT_EQ(ChaosLine(), kGoldenChaosRoCrash);
 }
 
 TEST(GoldenCellTest, SameSeedRerunIsByteIdentical) {

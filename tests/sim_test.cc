@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -458,7 +459,7 @@ TEST(RateResourceTest, ZeroUnitsCostNothing) {
   EXPECT_DOUBLE_EQ(r.consumed(), 0.0);
 }
 
-// ------------------------------------------- scheduler heap (4-ary) order
+// ------------------------------------------------- event queue order
 
 Process RecordAfterDelay(Environment* env, SimTime at, std::vector<int>* order,
                          int tag) {
@@ -513,6 +514,168 @@ TEST(SchedulerHeapTest, CallScheduledDuringDispatchRunsAfterSameTimePeers) {
   env.ScheduleCall(Micros(100), [&] { order.push_back("b"); });
   env.Run();
   EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "a.child"}));
+}
+
+// Reference-model check for the radix event queue: random schedule and
+// dispatch ops, checked online against a std::priority_queue on
+// (at_us, seq). Every dispatch must be the model's minimum and must see
+// Now() == its at_us; every RunUntil must stop exactly at its bound with
+// nothing due left behind.
+class QueueModelFuzz {
+ public:
+  explicit QueueModelFuzz(uint64_t seed) : rng_(seed) {}
+
+  /// Schedules one event `delay_us` ahead, as a ScheduleCall closure or as
+  /// a spawned process's first Delay (a handle event), at random.
+  void Schedule(int64_t delay_us) {
+    const int tag = next_tag_++;
+    const int64_t at_us = env_.Now().us + delay_us;
+    model_.push(Entry{at_us, next_seq_++, tag});
+    ++ops_;
+    if (rng_.NextBool(0.5)) {
+      env_.ScheduleCall(Micros(at_us), [this, tag] { OnDispatch(tag); });
+    } else {
+      env_.Spawn(Sleeper(this, Micros(delay_us), tag));
+    }
+  }
+
+  /// Heavy ties: same-tick and a few-µs offsets dominate, far-future
+  /// timers collide on the same instant, and rare huge jumps cross the
+  /// high key bits.
+  int64_t RandomDelay() {
+    double r = rng_.NextDouble();
+    if (r < 0.35) return 0;
+    if (r < 0.65) return rng_.NextInRange(1, 3);
+    if (r < 0.85) return rng_.NextInRange(1, 2000);
+    if (r < 0.97) return kLockTimeoutUs + rng_.NextInRange(0, 3);
+    return rng_.NextInRange(1, int64_t{1} << 40);
+  }
+
+  void Step() {
+    ++ops_;
+    const bool any_pending = !model_.empty();
+    EXPECT_EQ(env_.Step(), any_pending);
+  }
+
+  /// A window that usually stops short of the next event, then pushes
+  /// that land between the new Now() and that event.
+  void RunWindowThenBackfill() {
+    ++ops_;
+    SimTime until = env_.Now() + Micros(rng_.NextInRange(0, 3000));
+    env_.RunUntil(until);
+    EXPECT_EQ(env_.Now(), until);
+    if (!model_.empty()) {
+      EXPECT_GT(model_.top().at_us, until.us) << "RunUntil left due work";
+      int64_t gap = model_.top().at_us - until.us;
+      int n = static_cast<int>(rng_.NextInRange(1, 4));
+      for (int i = 0; i < n; ++i) Schedule(rng_.NextInRange(0, gap));
+    }
+  }
+
+  /// The shape lock waits create: a burst of timers parked one timeout
+  /// ahead while near-future work keeps cycling.
+  void ParkTimers(int n) {
+    for (int i = 0; i < n; ++i) {
+      Schedule(kLockTimeoutUs + rng_.NextInRange(0, 50));
+    }
+  }
+
+  void Drain() {
+    env_.Run();
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(env_.pending_events(), 0u);
+  }
+
+  util::Pcg32& rng() { return rng_; }
+  size_t pending() const { return model_.size(); }
+  int64_t ops() const { return ops_; }
+  int64_t dispatched() const { return dispatched_; }
+  int64_t mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_mismatch_; }
+
+ private:
+  static constexpr int64_t kLockTimeoutUs = 5'000'000;
+
+  struct Entry {
+    int64_t at_us;
+    uint64_t seq;
+    int tag;
+  };
+  struct Later {
+    bool operator()(const Entry& a, const Entry& b) const {
+      if (a.at_us != b.at_us) return a.at_us > b.at_us;
+      return a.seq > b.seq;
+    }
+  };
+
+  static Process Sleeper(QueueModelFuzz* fuzz, SimTime delay, int tag) {
+    co_await fuzz->env_.Delay(delay);
+    fuzz->OnDispatch(tag);
+  }
+
+  void OnDispatch(int tag) {
+    ++ops_;
+    ++dispatched_;
+    if (model_.empty()) {
+      NoteMismatch("dispatch of tag " + std::to_string(tag) +
+                   " with an empty model");
+      return;
+    }
+    Entry want = model_.top();
+    model_.pop();
+    if (want.tag != tag || want.at_us != env_.Now().us) {
+      NoteMismatch("dispatch " + std::to_string(dispatched_) + ": got tag " +
+                   std::to_string(tag) + " at " +
+                   std::to_string(env_.Now().us) + ", want tag " +
+                   std::to_string(want.tag) + " at " +
+                   std::to_string(want.at_us));
+    }
+    // Cascades: dispatches schedule same-tick and future work of both
+    // kinds, as coroutine wakeups and lock grants do.
+    if (rng_.NextBool(0.3)) Schedule(RandomDelay());
+  }
+
+  void NoteMismatch(std::string what) {
+    if (mismatches_++ == 0) first_mismatch_ = std::move(what);
+  }
+
+  Environment env_;
+  util::Pcg32 rng_;
+  std::priority_queue<Entry, std::vector<Entry>, Later> model_;
+  uint64_t next_seq_ = 0;
+  int next_tag_ = 0;
+  int64_t ops_ = 0;
+  int64_t dispatched_ = 0;
+  int64_t mismatches_ = 0;
+  std::string first_mismatch_;
+};
+
+TEST(SchedulerHeapTest, MatchesPriorityQueueModelOnRandomOps) {
+  int64_t total_ops = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    QueueModelFuzz fuzz(seed);
+    size_t max_pending = 0;
+    for (int i = 0; i < 20000; ++i) {
+      double r = fuzz.rng().NextDouble();
+      if (r < 0.45) {
+        fuzz.Schedule(fuzz.RandomDelay());
+      } else if (r < 0.85) {
+        fuzz.Step();
+      } else if (r < 0.998) {
+        fuzz.RunWindowThenBackfill();
+      } else {
+        fuzz.ParkTimers(1000);
+      }
+      max_pending = std::max(max_pending, fuzz.pending());
+    }
+    fuzz.Drain();
+    EXPECT_EQ(fuzz.mismatches(), 0)
+        << "seed " << seed << ": " << fuzz.first_mismatch();
+    EXPECT_GT(max_pending, 2000u) << "seed " << seed
+                                  << ": no parked-timer backlog formed";
+    total_ops += fuzz.ops();
+  }
+  EXPECT_GE(total_ops, 100000);
 }
 
 // ------------------------------------------------ closure slab ownership
