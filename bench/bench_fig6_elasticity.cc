@@ -55,7 +55,9 @@ void Run(const BenchArgs& args) {
   std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
       .Run(cells, [&patterns](const runner::CellContext& ctx) {
         return runner::RunElasticityCell(
-            ctx, patterns[ctx.index % patterns.size()]);
+            ctx, runner::SalesConfigFor(ctx.spec),
+            ElasticitySchedule(patterns[ctx.index % patterns.size()], kTau),
+            sim::Seconds(60 * kTimeScale));
       });
 
   std::printf(

@@ -41,8 +41,9 @@ void Run(const BenchArgs& args) {
   }
   std::vector<runner::CellResult> results = runner::MatrixRunner(args.runner)
       .Run(cells, [&patterns](const runner::CellContext& ctx) {
-        return runner::RunTenancyCell(ctx,
-                                      patterns[ctx.index % patterns.size()]);
+        return runner::RunTenancyCell(
+            ctx, patterns[ctx.index % patterns.size()], /*tenants=*/3,
+            runner::kTenancySlots, sim::Seconds(60 * kTimeScale));
       });
 
   std::printf(

@@ -96,13 +96,22 @@ void AddSubCells(sut::SutKind kind, uint64_t seed,
 
 runner::CellResult RunSubCell(const runner::CellContext& ctx) {
   size_t sub = ctx.index % kSubCells;
+  sim::SimTime slot = sim::Seconds(60 * kTimeScale);
   if (sub >= kTenancy) {
-    return runner::RunTenancyCell(ctx, AllTenancyPatterns()[sub - kTenancy]);
+    return runner::RunTenancyCell(ctx, AllTenancyPatterns()[sub - kTenancy],
+                                  /*tenants=*/3, runner::kTenancySlots, slot);
   }
   if (sub == kE1) {
-    return runner::RunElasticityCell(ctx, ElasticityPattern::kLargeSpike);
+    return runner::RunElasticityCell(
+        ctx, runner::SalesConfigFor(ctx.spec),
+        ElasticitySchedule(ElasticityPattern::kLargeSpike,
+                           ctx.spec.concurrency),
+        slot);
   }
-  if (sub == kFailRw || sub == kFailRo) return runner::RunFailoverCell(ctx);
+  if (sub == kFailRw || sub == kFailRo) {  // as Table VIII
+    return runner::RunFailoverCell(ctx, runner::SalesConfigFor(ctx.spec),
+                                   /*sticky_ro=*/true, /*target_tps=*/-1);
+  }
   if (sub == kLag) return runner::RunLagCell(ctx, 60, 30, 10);
   return RunThroughputCell(ctx);  // P, E2
 }

@@ -17,7 +17,7 @@
 #include "core/evaluators.h"
 #include "core/patterns.h"
 #include "core/sales_workload.h"
-#include "sim/environment.h"
+#include "runner/oltp_cell.h"
 #include "sut/profiles.h"
 
 using namespace cloudybench;
@@ -69,17 +69,15 @@ void Evaluate(const cloud::ClusterConfig& base_cfg) {
               cloud::ScalingPolicyName(base_cfg.autoscaler.policy));
   for (ElasticityPattern pattern :
        {ElasticityPattern::kLargeSpike, ElasticityPattern::kZeroValley}) {
-    cloud::ClusterConfig cfg = base_cfg;
-    sim::Environment env;
-    cloud::Cluster cluster(&env, cfg, 0);
     SalesTransactionSet txns(SalesWorkloadConfig::ReadWrite());
-    cluster.Load(txns.Schemas(), 1);
-    cluster.PrewarmBuffers();
+    // SF1, no RO replica, exactly base_cfg.
+    runner::CellDeployment rig(runner::CellSpec{}, base_cfg, txns.Schemas());
     ElasticityEvaluator::Options options;
     options.tau = 110;
     options.slot = sim::Seconds(60 * kTimeScale);
     ElasticityResult r =
-        ElasticityEvaluator::Run(&env, &cluster, &txns, pattern, options);
+        ElasticityEvaluator::Run(&rig.env, rig.cluster.get(), &txns, pattern,
+                                 options);
     double scaled_cost =
         r.total_cost.cpu + r.total_cost.memory + r.total_cost.iops;
     std::printf("  %-14s TPS %6.0f   scaled-cost $%.4f   E1-Score %8.0f\n",

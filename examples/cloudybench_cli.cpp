@@ -1,12 +1,15 @@
 // The CloudyBench testbed CLI: runs the evaluations selected in a props
 // configuration file (see examples/configs/demo.props and the key reference
-// in src/runner/testbed.h).
+// in src/runner/testbed.h). Each section is one cell on the matrix runner,
+// so the runner's flags apply: --jobs=N, --jsonl= and the per-cell
+// --*-template= artifact paths.
 //
 //   $ ./examples/cloudybench_cli examples/configs/demo.props
-//   $ ./examples/cloudybench_cli            # built-in demo configuration
+//   $ ./examples/cloudybench_cli --jsonl=rows.jsonl   # built-in demo config
 
 #include <cstdio>
 
+#include "runner/cli.h"
 #include "runner/testbed.h"
 #include "util/logging.h"
 #include "util/properties.h"
@@ -62,14 +65,17 @@ delete = 10
 
 int main(int argc, char** argv) {
   util::SetLogLevel(util::LogLevel::kWarning);
+  runner::CommandLine cli =
+      runner::ParseCommandLine(argc, argv, {}, {}, "config.props");
   util::Properties props;
-  util::Status parsed = argc > 1 ? props.ParseFile(argv[1])
-                                 : props.ParseString(kDemoConfig);
+  util::Status parsed = cli.positional.empty()
+                            ? props.ParseString(kDemoConfig)
+                            : props.ParseFile(cli.positional);
   if (!parsed.ok()) {
     std::fprintf(stderr, "config error: %s\n", parsed.ToString().c_str());
     return 1;
   }
-  runner::Testbed testbed(std::move(props));
+  runner::Testbed testbed(std::move(props), cli.runner);
   util::Status status = testbed.RunAll();
   if (!status.ok()) {
     std::fprintf(stderr, "testbed error: %s\n", status.ToString().c_str());

@@ -12,7 +12,7 @@
 #include "core/evaluators.h"
 #include "core/patterns.h"
 #include "core/sales_workload.h"
-#include "sim/environment.h"
+#include "runner/oltp_cell.h"
 #include "sut/profiles.h"
 
 using namespace cloudybench;
@@ -37,26 +37,25 @@ int main(int argc, char** argv) {
   // Control-plane timing is compressed 10x so each "minute" slot is 6 s of
   // simulated time (see DESIGN.md on time scaling).
   constexpr double kTimeScale = 0.1;
-  sim::Environment env;
   cloud::ClusterConfig config =
       sut::MakeProfile(sut::SutKind::kCdb3, kTimeScale);
   config.node.memory_follows_vcores = true;
   config.node.vcores = config.autoscaler.min_vcores;
-  cloud::Cluster cluster(&env, config, /*n_ro_nodes=*/0);
   SalesTransactionSet workload(SalesWorkloadConfig::ReadWrite());
-  cluster.Load(workload.Schemas(), 1);
-  // Warm buffers, as every Fig. 6 cell deploys them.
-  cluster.PrewarmBuffers();
+  // SF1, no RO replica, exactly `config`; loaded with warm buffers, as
+  // every Fig. 6 cell deploys it.
+  runner::CellDeployment rig(runner::CellSpec{}, config, workload.Schemas());
 
   ElasticityEvaluator::Options options;
   options.tau = 110;
   options.slot = sim::Seconds(6);
   options.cost_window_slots = 10;
   ElasticityResult result =
-      ElasticityEvaluator::Run(&env, &cluster, &workload, pattern, options);
+      ElasticityEvaluator::Run(&rig.env, rig.cluster.get(), &workload,
+                               pattern, options);
 
   std::printf("Elasticity demo — CDB3 (%s policy), pattern: %s\n\n",
-              cloud::ScalingPolicyName(cluster.config().autoscaler.policy),
+              cloud::ScalingPolicyName(rig.cluster->config().autoscaler.policy),
               ElasticityPatternName(pattern));
   std::printf("%-6s %-12s %-10s %-10s\n", "slot", "concurrency", "TPS",
               "vCores");

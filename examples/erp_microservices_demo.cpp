@@ -8,7 +8,7 @@
 #include "core/collector.h"
 #include "core/microservices.h"
 #include "core/workload_manager.h"
-#include "sim/environment.h"
+#include "runner/oltp_cell.h"
 #include "sut/profiles.h"
 
 using namespace cloudybench;
@@ -16,18 +16,17 @@ using namespace cloudybench;
 int main() {
   util::SetLogLevel(util::LogLevel::kWarning);
 
-  sim::Environment env;
-  cloud::ClusterConfig config = sut::MakeProfile(sut::SutKind::kCdb4);
-  sut::FreezeAtMaxCapacity(&config);
-  cloud::Cluster cluster(&env, config, /*n_ro_nodes=*/1);
-
   ErpWorkloadConfig erp_cfg;
   erp_cfg.sales_pct = 50;
   erp_cfg.inventory_pct = 30;
   erp_cfg.manufacturing_pct = 20;
   ErpTransactionSet workload(erp_cfg);
-  cluster.Load(workload.Schemas(), /*scale_factor=*/1);
-  cluster.PrewarmBuffers();
+  runner::CellSpec spec;  // SF1, pinned at max capacity
+  spec.sut = sut::SutKind::kCdb4;
+  spec.n_ro = 1;
+  runner::CellDeployment rig(spec, workload.Schemas());
+  sim::Environment& env = rig.env;
+  cloud::Cluster& cluster = *rig.cluster;
 
   PerformanceCollector collector(&env);
   collector.Start();

@@ -7,7 +7,7 @@
 
 #include "core/evaluators.h"
 #include "core/sales_workload.h"
-#include "sim/environment.h"
+#include "runner/oltp_cell.h"
 #include "sut/profiles.h"
 
 using namespace cloudybench;
@@ -15,15 +15,13 @@ using namespace cloudybench;
 namespace {
 
 void RunOne(sut::SutKind kind) {
-  sim::Environment env;
-  cloud::ClusterConfig config = sut::MakeProfile(kind);
-  sut::FreezeAtMaxCapacity(&config);
-  cloud::Cluster cluster(&env, config, /*n_ro_nodes=*/1);
+  runner::CellSpec spec;
+  spec.sut = kind;
+  spec.n_ro = 1;
   SalesWorkloadConfig workload_cfg = SalesWorkloadConfig::ReadWrite();
   workload_cfg.route_reads_to_replicas = false;
   SalesTransactionSet workload(workload_cfg);
-  cluster.Load(workload.Schemas(), 1);
-  cluster.PrewarmBuffers();
+  runner::CellDeployment rig(spec, workload.Schemas());
 
   FailoverEvaluator::Options options;
   options.concurrency = 150;
@@ -32,7 +30,7 @@ void RunOne(sut::SutKind kind) {
   options.target_tps = 3000;
   options.max_observation = sim::Seconds(90);
   FailoverResult result =
-      FailoverEvaluator::Run(&env, &cluster, &workload, options);
+      FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &workload, options);
 
   std::printf("%s\n", sut::SutName(kind));
   std::printf("  pre-failure TPS     %8.0f\n", result.pre_failure_tps);
@@ -41,7 +39,7 @@ void RunOne(sut::SutKind kind) {
   std::printf("  TPS recovery  (R)   %8.1f s  (service -> %0.0f TPS)\n",
               result.r_seconds, result.target_tps);
   std::printf("  recovery mechanism  %s\n\n",
-              config.recovery.promote_ro
+              rig.cluster->config().recovery.promote_ro
                   ? "promote RO -> RW (remote buffer stays warm)"
                   : "restart in place (redo + undo, cold buffer)");
 }

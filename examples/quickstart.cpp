@@ -11,7 +11,7 @@
 
 #include "core/evaluators.h"
 #include "core/sales_workload.h"
-#include "sim/environment.h"
+#include "runner/oltp_cell.h"
 #include "sut/profiles.h"
 #include "util/string_util.h"
 
@@ -39,18 +39,16 @@ int main(int argc, char** argv) {
     concurrency = static_cast<int>(v);
   }
 
-  // 1. One simulation environment per experiment: everything below runs in
-  //    deterministic virtual time.
-  sim::Environment env;
+  // 1. Describe the SUT: its paper profile (Table IV) pinned at maximum
+  //    capacity, one RO replica, scale factor 1 (~194 MB of sales data).
+  runner::CellSpec spec;
+  spec.sut = kind;
+  spec.n_ro = 1;
 
-  // 2. Build the SUT from its paper profile (Table IV) and load the sales
-  //    microservice schema at scale factor 1 (~194 MB logical data).
-  cloud::ClusterConfig config = sut::MakeProfile(kind);
-  sut::FreezeAtMaxCapacity(&config);
-  cloud::Cluster cluster(&env, config, /*n_ro_nodes=*/1);
+  // 2. Deploy it: a fresh simulation environment (everything below runs in
+  //    deterministic virtual time) with the loaded, prewarmed cluster.
   SalesTransactionSet workload(SalesWorkloadConfig::ReadWrite());
-  cluster.Load(workload.Schemas(), /*scale_factor=*/1);
-  cluster.PrewarmBuffers();
+  runner::CellDeployment rig(spec, workload.Schemas());
 
   // 3. Run the OLTP evaluator: `concurrency` closed-loop clients driving
   //    T1-T4 for ten simulated seconds after a warmup.
@@ -58,7 +56,8 @@ int main(int argc, char** argv) {
   options.concurrency = concurrency;
   options.warmup = sim::Seconds(2);
   options.measure = sim::Seconds(10);
-  OltpResult result = OltpEvaluator::Run(&env, &cluster, &workload, options);
+  OltpResult result =
+      OltpEvaluator::Run(&rig.env, rig.cluster.get(), &workload, options);
 
   std::printf("CloudyBench quickstart — %s, %d clients, read-write mix\n\n",
               sut::SutName(kind), concurrency);
@@ -77,6 +76,6 @@ int main(int argc, char** argv) {
   std::printf("  P-Score           %10.0f  (TPS per $/min, Eq. 1)\n",
               result.p_score);
   std::printf("  replication lag   %10.2f ms (updates)\n",
-              cluster.replayer(0)->UpdateLag().mean());
+              rig.cluster->replayer(0)->UpdateLag().mean());
   return 0;
 }

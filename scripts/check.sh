@@ -3,7 +3,8 @@
 # then again with AddressSanitizer and ThreadSanitizer
 # (-DCLOUDYBENCH_SANITIZE=...), plus the matrix-runner determinism smokes:
 # bench_runner_demo, the fault matrix, the open-loop saturation bench, the
-# multi-tenant row, the chaos sweep and Table IX must produce byte-identical
+# multi-tenant row, the chaos sweep, Table IX, Fig. 8 and the props testbed
+# (cloudybench_cli on examples/configs/demo.props) must produce byte-identical
 # stdout (and JSONL / timeline CSV / profile / verdict artifacts) at
 # --jobs=1 and --jobs=2. The chaos sweep doubles as a correctness gate:
 # it exits non-zero when any end-to-end oracle fails, and the ASan suite
@@ -41,25 +42,28 @@ run_suite() {
 # cross-cell state leaking into results) fails the check. The runner's
 # [runner] accounting line goes to stderr by design and is not compared.
 #
-# Row: label | bench | args of both runs | args of run 1 | args of run 2.
+# Row: label | binary (path in the build tree) | args of both runs | args
+# of run 1 | args of run 2.
 # @OUT@ expands to the run's own directory, which is diffed whole. The
 # rows cover DESIGN.md §4d (runner), §4e (timeline), §4j (profile), §4g
 # (fault), §4h (load), §4k (a multi-tenant row: tenant cells plus the
 # MergeTenantRows fold, with the tenant rows in the JSONL) and §4l (chaos,
 # with the per-oracle verdict rows; the sweep exits non-zero when an oracle
 # fails, so that row is also a correctness gate), Table IX (55 sub-cells
-# of five kinds) and Fig. 8 (the one bench that shrinks a warm pool and
-# prewarms it again, page by page against its cold prewarmed pages).
+# of five kinds), Fig. 8 (the one bench that shrinks a warm pool and
+# prewarms it again, page by page against its cold prewarmed pages) and
+# the props testbed (one cell per section).
 DETERMINISM_ROWS=(
-  "runner|bench_runner_demo||--jobs=1|--jobs=2"
-  "timeline|bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
-  "profile|bench_runner_demo|--profile-collapsed-template=@OUT@/{id}.collapsed.txt --profile-chrome-template=@OUT@/{id}.trace.json|--jobs=1|--jobs=2"
-  "fault|bench_fault_matrix|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
-  "load|bench_saturation|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
-  "cell_jobs|bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
-  "chaos|bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
-  "table9|bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
-  "fig8|bench_fig8_buffersize|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "runner|bench/bench_runner_demo||--jobs=1|--jobs=2"
+  "timeline|bench/bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
+  "profile|bench/bench_runner_demo|--profile-collapsed-template=@OUT@/{id}.collapsed.txt --profile-chrome-template=@OUT@/{id}.trace.json|--jobs=1|--jobs=2"
+  "fault|bench/bench_fault_matrix|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "load|bench/bench_saturation|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "cell_jobs|bench/bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "chaos|bench/bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
+  "table9|bench/bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "fig8|bench/bench_fig8_buffersize|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "cli|examples/cloudybench_cli|examples/configs/demo.props --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
 )
 
 determinism_smoke() {
@@ -68,7 +72,7 @@ determinism_smoke() {
   for row in "${DETERMINISM_ROWS[@]}"; do
     IFS='|' read -r label bench shared run1 run2 <<< "${row}"
     echo "=== [${label}] determinism smoke (${run1} vs ${run2}) ==="
-    cmake --build "${dir}" -j "${JOBS}" --target "${bench}"
+    cmake --build "${dir}" -j "${JOBS}" --target "${bench##*/}"
     for run in 1 2; do
       out="${dir}/determinism/${label}/${run}"
       rm -rf "${out}"
@@ -77,7 +81,7 @@ determinism_smoke() {
       if [[ "${run}" == 2 ]]; then args="${run2}"; fi
       # Both argument lists are word-split on purpose.
       # shellcheck disable=SC2086
-      "${dir}/bench/${bench}" ${shared//@OUT@/${out}} ${args} \
+      "${dir}/${bench}" ${shared//@OUT@/${out}} ${args} \
         > "${out}/stdout.txt"
     done
     diff -r "${dir}/determinism/${label}/1" "${dir}/determinism/${label}/2"

@@ -43,7 +43,8 @@ class OltpEvaluator {
     sim::SimTime measure = sim::Seconds(10);
     /// When non-empty, a MetricRegistry snapshot (JSONL) is written here at
     /// the end of the run, while the collector's and cluster's entries are
-    /// still registered (the testbed plumbs `obs.metrics_path` through).
+    /// still registered (RunOltpCell plumbs the runner's per-cell
+    /// --metrics-template= path through).
     std::string metrics_export_path;
   };
 

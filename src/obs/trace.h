@@ -92,8 +92,8 @@ class TraceRecorder {
   TraceRecorder(const TraceRecorder&) = delete;
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
-  /// Runtime toggle (the Properties key `obs.enable` and the obs benches
-  /// flip this). No-op when compiled out.
+  /// Runtime toggle (the matrix runner's trace/profile templates and the
+  /// obs benches flip this). No-op when compiled out.
   void SetEnabled(bool on) { enabled_ = on; }
   bool enabled() const { return kCompiled && enabled_; }
 

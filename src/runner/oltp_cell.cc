@@ -71,8 +71,13 @@ SalesWorkloadConfig SalesConfigFor(const CellSpec& spec) {
 }
 
 CellResult RunOltpCell(const CellContext& ctx) {
+  return RunOltpWorkloadCell(ctx, SalesConfigFor(ctx.spec));
+}
+
+CellResult RunOltpWorkloadCell(const CellContext& ctx,
+                               const SalesWorkloadConfig& workload) {
   const CellSpec& spec = ctx.spec;
-  SalesTransactionSet txns(SalesConfigFor(spec));
+  SalesTransactionSet txns(workload);
   CellDeployment rig(spec, txns.Schemas());
 
   OltpEvaluator::Options options;

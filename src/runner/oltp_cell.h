@@ -54,6 +54,12 @@ SalesWorkloadConfig SalesConfigFor(const CellSpec& spec);
 /// gauges are still registered).
 CellResult RunOltpCell(const CellContext& ctx);
 
+/// RunOltpCell driving `workload` instead of SalesConfigFor(ctx.spec) —
+/// for mixes the spec's pattern label cannot name, such as the props
+/// testbed's latest-k distribution. Same columns.
+CellResult RunOltpWorkloadCell(const CellContext& ctx,
+                               const SalesWorkloadConfig& workload);
+
 /// Multi-tenant OLTP rows (DESIGN.md §4k). A tenant is an isolated
 /// single-tenant deployment of the cell's SUT, i.e. an ordinary cell: a
 /// row of N tenants runs TenantSpec(cell, 0..N-1) as N RunOltpCell cells

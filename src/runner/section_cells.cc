@@ -11,26 +11,21 @@
 
 namespace cloudybench::runner {
 
-CellResult RunFailoverCell(const CellContext& ctx) {
+CellResult RunFailoverCell(const CellContext& ctx,
+                           const SalesWorkloadConfig& workload, bool sticky_ro,
+                           double target_tps) {
   const CellSpec& spec = ctx.spec;
-  // RW failure: the full read-write stream runs on the RW node so the
-  // outage is fully visible. RO failure: a read-only stream pinned to the
-  // failing replica (clients hold connections to that endpoint).
   bool fail_rw = spec.pattern == "RW";
-  SalesWorkloadConfig cfg = SalesConfigFor(spec);
+  SalesWorkloadConfig cfg = workload;
   cfg.route_reads_to_replicas = !fail_rw;
-  cfg.sticky_replica = !fail_rw;
+  cfg.sticky_replica = !fail_rw && sticky_ro;
   SalesTransactionSet txns(cfg);
   CellDeployment rig(spec, txns.Schemas());
   FailoverEvaluator::Options options;
   options.concurrency = spec.concurrency;
   options.warmup = spec.warmup;
   options.fail_rw = fail_rw;
-  // Recovery target: 90% of this SUT's own pre-failure TPS. (The paper
-  // sets one absolute target for all SUTs; with heterogeneous capacities a
-  // shared absolute target would leave the slowest SUT unable to recover
-  // at all, so we use a per-SUT 90% target — documented in EXPERIMENTS.md.)
-  options.target_tps = -1;
+  options.target_tps = target_tps;
   options.max_observation = spec.measure;
   FailoverResult r =
       FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
@@ -39,6 +34,8 @@ CellResult RunFailoverCell(const CellContext& ctx) {
   result.AddMetric("f_s", r.service_lost ? r.f_seconds : 0.0, 1);
   result.AddMetric("r_s", r.service_lost ? r.r_seconds : 0.0, 1);
   result.AddMetric("service_lost", r.service_lost ? 1.0 : 0.0, 0);
+  result.AddMetric("pre_failure_tps", r.pre_failure_tps, 0);
+  result.AddMetric("target_tps", r.target_tps, 0);
   result.sim_seconds = rig.env.Now().ToSeconds();
   return result;
 }
@@ -67,23 +64,24 @@ CellResult RunLagCell(const CellContext& ctx, int insert_pct, int update_pct,
 }
 
 CellResult RunElasticityCell(const CellContext& ctx,
-                             ElasticityPattern pattern) {
-  SalesTransactionSet txns(SalesConfigFor(ctx.spec));
+                             const SalesWorkloadConfig& workload,
+                             const std::vector<int>& schedule,
+                             sim::SimTime slot) {
+  SalesTransactionSet txns(workload);
   CellDeployment rig(ctx.spec, txns.Schemas());
   ElasticityEvaluator::Options options;
-  options.tau = ctx.spec.concurrency;
-  options.slot = sim::Seconds(60 * ctx.spec.time_scale);
-  ElasticityResult r = ElasticityEvaluator::Run(&rig.env, rig.cluster.get(),
-                                                &txns, pattern, options);
+  options.slot = slot;
+  ElasticityResult r = ElasticityEvaluator::RunSchedule(
+      &rig.env, rig.cluster.get(), &txns, schedule, options);
 
-  std::string schedule = "(";
+  std::string label = "(";
   for (size_t i = 0; i < r.schedule.size(); ++i) {
-    if (i > 0) schedule += ',';
-    schedule += std::to_string(r.schedule[i]);
+    if (i > 0) label += ',';
+    label += std::to_string(r.schedule[i]);
   }
-  schedule += ')';
+  label += ')';
   CellResult result;
-  result.AddText("schedule", schedule);
+  result.AddText("schedule", label);
   result.AddMetric("tps", r.mean_tps, 0);
   result.AddMetric("total_cost", r.total_cost.total(), 4);
   // "ScaledCost" isolates the components elasticity actually varies
@@ -100,18 +98,21 @@ CellResult RunElasticityCell(const CellContext& ctx,
       metrics::E1Score(r.mean_tps,
                        actual.PerMinute(r.window_end_s - r.window_start_s)),
       0);
+  result.AddMetric("scaling_events",
+                   static_cast<double>(r.scaling_events.size()), 0);
   result.sim_seconds = rig.env.Now().ToSeconds();
   return result;
 }
 
-CellResult RunTenancyCell(const CellContext& ctx, TenancyPattern pattern) {
+CellResult RunTenancyCell(const CellContext& ctx, TenancyPattern pattern,
+                          int tenants, int slots, sim::SimTime slot) {
   const CellSpec& spec = ctx.spec;
   sim::Environment env;
-  MultiTenantDeployment deployment(&env, spec.sut, /*tenants=*/3,
-                                   spec.scale_factor, spec.time_scale);
+  MultiTenantDeployment deployment(&env, spec.sut, tenants, spec.scale_factor,
+                                   spec.time_scale);
   MultiTenancyEvaluator::Options options;
-  options.slots = kTenancySlots;
-  options.slot = sim::Seconds(60 * spec.time_scale);
+  options.slots = slots;
+  options.slot = slot;
   options.tau = spec.concurrency;
   TenancyResult r =
       MultiTenancyEvaluator::Run(&env, &deployment, pattern, options);
@@ -135,7 +136,7 @@ CellResult RunTenancyCell(const CellContext& ctx, TenancyPattern pattern) {
   // T* prices the deployment with the vendor's actual model. The elastic
   // pool bills at least one hour (scaled like the control plane) — the
   // quirk that demotes CDB2's T* in the paper.
-  double window_s = kTenancySlots * options.slot.ToSeconds();
+  double window_s = slots * slot.ToSeconds();
   double billed_s = deployment.model() == TenancyModel::kElasticPool
                         ? std::max(window_s, 3600.0 * spec.time_scale)
                         : window_s;

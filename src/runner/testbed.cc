@@ -11,10 +11,8 @@
 #include "core/patterns.h"
 #include "core/sales_workload.h"
 #include "core/tenancy.h"
-#include "obs/exporters.h"
-#include "obs/trace.h"
 #include "runner/oltp_cell.h"
-#include "sim/environment.h"
+#include "runner/section_cells.h"
 #include "sut/profiles.h"
 #include "util/string_util.h"
 
@@ -29,6 +27,18 @@ const char* kSlotConKeys[] = {"first_con",  "second_con", "third_con",
                               "fourth_con", "fifth_con",  "sixth_con",
                               "seventh_con", "eighth_con"};
 
+/// Every key the testbed reads besides `elasticity.<kSlotConKeys>`.
+const char* kKeys[] = {
+    "sut", "scale_factor", "seed", "time_scale", "workload.pattern",
+    "workload.distribution", "workload.latest_k", "oltp.enable",
+    "oltp.concurrency", "oltp.seconds", "elasticity.enable", "elasticity.tau",
+    "elasticity.slot_seconds", "elasticity.pattern",
+    "elasticity.elastic_testTime", "tenancy.enable", "tenancy.tenants",
+    "tenancy.tau", "tenancy.slot_seconds", "tenancy.slots", "tenancy.pattern",
+    "failover.enable", "failover.node", "failover.concurrency",
+    "failover.target_tps", "lag.enable", "lag.concurrency", "lag.insert",
+    "lag.update", "lag.delete"};
+
 /// Props keys whose value must be one of a fixed `|`-separated set.
 const std::pair<const char*, const char*> kChoiceKeys[] = {
     {"workload.pattern", "readwrite|readonly|writeonly"},
@@ -37,13 +47,179 @@ const std::pair<const char*, const char*> kChoiceKeys[] = {
     {"tenancy.pattern", "high|low|staggered_high|staggered_low"},
     {"failover.node", "rw|ro"}};
 
+bool IsKnownKey(const std::string& key) {
+  for (const char* known : kKeys) {
+    if (key == known) return true;
+  }
+  for (const char* con : kSlotConKeys) {
+    if (key == std::string("elasticity.") + con) return true;
+  }
+  return false;
+}
+
+/// One enabled props section: the cell it runs as, and its report line —
+/// `line` with each `%s` replaced by the row's next `columns` value.
+struct Section {
+  CellSpec spec;
+  CellFn run;
+  std::string line;
+  std::vector<const char*> columns;
+};
+
+void PrintReport(const Section& section, const CellResult& row) {
+  std::string out = section.line;
+  size_t at = 0;
+  for (const char* key : section.columns) {
+    std::string value = row.Text(key);
+    at = out.find("%s", at);
+    out.replace(at, 2, value);
+    at += value.size();
+  }
+  std::fputs(out.c_str(), stdout);
+}
+
+Section OltpSection(const util::Properties& props, const CellSpec& base,
+                    const SalesWorkloadConfig& workload) {
+  CellSpec spec = base;
+  spec.id = "oltp";
+  spec.concurrency = static_cast<int>(props.GetInt("oltp.concurrency", 100));
+  spec.warmup = OltpEvaluator::Options().warmup;
+  spec.measure =
+      sim::Seconds(static_cast<double>(props.GetInt("oltp.seconds", 10)));
+  return {spec,
+          [workload](const CellContext& ctx) {
+            return RunOltpWorkloadCell(ctx, workload);
+          },
+          "[oltp]       TPS %s  p50 %sms  p99 %sms  cost %s$/min  "
+          "P-Score %s\n",
+          {"tps", "p50_ms", "p99_ms", "cost_per_min", "p_score"}};
+}
+
+util::Result<Section> ElasticitySection(const util::Properties& props,
+                                        const CellSpec& base,
+                                        const SalesWorkloadConfig& workload) {
+  // Either a named basic pattern, or the paper's extensible custom schedule
+  // via elastic_testTime + first_con/second_con/...
+  int64_t custom_slots = props.GetInt("elasticity.elastic_testTime", 0);
+  if (custom_slots > static_cast<int64_t>(std::size(kSlotConKeys))) {
+    return Status::InvalidArgument(
+        "elasticity.elastic_testTime = " + std::to_string(custom_slots) +
+        " exceeds the " + std::to_string(std::size(kSlotConKeys)) +
+        " slots first_con..eighth_con can describe");
+  }
+  CellSpec spec = base;
+  spec.id = "elasticity";
+  spec.n_ro = 0;
+  spec.concurrency = static_cast<int>(props.GetInt("elasticity.tau", 110));
+  spec.time_scale = props.GetDouble("time_scale", 0.1);
+  spec.serverless = true;
+  spec.freeze_at_max = false;
+  std::vector<int> schedule;
+  for (int64_t i = 0; i < custom_slots; ++i) {
+    schedule.push_back(static_cast<int>(
+        props.GetInt(std::string("elasticity.") + kSlotConKeys[i], 0)));
+  }
+  if (schedule.empty()) {
+    std::string name =
+        util::ToLower(props.GetString("elasticity.pattern", "spike"));
+    ElasticityPattern pattern = ElasticityPattern::kLargeSpike;
+    if (name == "peak") pattern = ElasticityPattern::kSinglePeak;
+    if (name == "valley") pattern = ElasticityPattern::kSingleValley;
+    if (name == "zero") pattern = ElasticityPattern::kZeroValley;
+    schedule = ElasticitySchedule(pattern, spec.concurrency);
+  }
+  sim::SimTime slot =
+      sim::Seconds(props.GetDouble("elasticity.slot_seconds", 6));
+  return Section{spec,
+                 [workload, schedule, slot](const CellContext& ctx) {
+                   return RunElasticityCell(ctx, workload, schedule, slot);
+                 },
+                 "[elasticity] schedule %s  TPS %s  total cost %s$  "
+                 "E1-Score %s  %s scaling events\n",
+                 {"schedule", "tps", "total_cost", "e1_score",
+                  "scaling_events"}};
+}
+
+Section TenancySection(const util::Properties& props, const CellSpec& base) {
+  std::string name =
+      util::ToLower(props.GetString("tenancy.pattern", "staggered_high"));
+  TenancyPattern pattern = TenancyPattern::kStaggeredHigh;
+  if (name == "high") pattern = TenancyPattern::kHighContention;
+  if (name == "low") pattern = TenancyPattern::kLowContention;
+  if (name == "staggered_low") pattern = TenancyPattern::kStaggeredLow;
+  int tenants = static_cast<int>(props.GetInt("tenancy.tenants", 3));
+  int slots = static_cast<int>(props.GetInt("tenancy.slots", 3));
+  sim::SimTime slot = sim::Seconds(props.GetDouble("tenancy.slot_seconds", 6));
+  CellSpec spec = base;
+  spec.id = "tenancy";
+  spec.concurrency = static_cast<int>(props.GetInt("tenancy.tau", 330));
+  spec.pattern = TenancyPatternName(pattern);
+  return {spec,
+          [pattern, tenants, slots, slot](const CellContext& ctx) {
+            return RunTenancyCell(ctx, pattern, tenants, slots, slot);
+          },
+          util::StringPrintf("[tenancy]    %s on %s: ", spec.pattern.c_str(),
+                             TenancyModelName(TenancyModelFor(spec.sut))) +
+              "total TPS %s  cost %s$/min  T-Score %s\n",
+          {"tps", "cost_per_min", "t_score"}};
+}
+
+Section FailoverSection(const util::Properties& props, const CellSpec& base,
+                        const SalesWorkloadConfig& workload) {
+  FailoverEvaluator::Options defaults;
+  CellSpec spec = base;
+  spec.id = "failover";
+  spec.pattern =
+      util::ToLower(props.GetString("failover.node", "rw")) == "rw" ? "RW"
+                                                                     : "RO";
+  spec.concurrency =
+      static_cast<int>(props.GetInt("failover.concurrency", 150));
+  spec.warmup = defaults.warmup;
+  spec.measure = defaults.max_observation;
+  double target_tps = props.GetDouble("failover.target_tps", 3000);
+  return {spec,
+          [workload, target_tps](const CellContext& ctx) {
+            return RunFailoverCell(ctx, workload, /*sticky_ro=*/false,
+                                   target_tps);
+          },
+          "[failover]   " + spec.pattern +
+              " restart: F %ss  R %ss  (pre-failure TPS %s, target %s)\n",
+          {"f_s", "r_s", "pre_failure_tps", "target_tps"}};
+}
+
+Section LagSection(const util::Properties& props, const CellSpec& base) {
+  LagTimeEvaluator::Options defaults;
+  int insert = static_cast<int>(props.GetInt("lag.insert", 60));
+  int update = static_cast<int>(props.GetInt("lag.update", 30));
+  int del = static_cast<int>(props.GetInt("lag.delete", 10));
+  CellSpec spec = base;
+  spec.id = "lag";
+  spec.concurrency = static_cast<int>(props.GetInt("lag.concurrency", 20));
+  spec.warmup = defaults.warmup;
+  spec.measure = defaults.measure;
+  return {spec,
+          [insert, update, del](const CellContext& ctx) {
+            return RunLagCell(ctx, insert, update, del);
+          },
+          "[lag]        insert %sms  update %sms  delete %sms  C-Score %s\n",
+          {"insert_lag_ms", "update_lag_ms", "delete_lag_ms", "c_score"}};
+}
+
 }  // namespace
 
-Testbed::Testbed(util::Properties props) : props_(std::move(props)) {}
+Testbed::Testbed(util::Properties props, RunnerOptions runner)
+    : props_(std::move(props)), runner_(std::move(runner)) {}
 
 util::Status Testbed::RunAll() {
-  CB_ASSIGN_OR_RETURN(sut_name_, props_.RequireString("sut"));
-  CB_ASSIGN_OR_RETURN(spec_.sut, sut::ParseSut(sut_name_));
+  for (const std::string& key : props_.KeysWithPrefix("")) {
+    if (!IsKnownKey(key)) {
+      return Status::InvalidArgument(key + " = '" + props_.GetString(key, "") +
+                                     "': unknown key");
+    }
+  }
+  CellSpec base;
+  CB_ASSIGN_OR_RETURN(std::string sut_name, props_.RequireString("sut"));
+  CB_ASSIGN_OR_RETURN(base.sut, sut::ParseSut(sut_name));
   for (const auto& [key, accepted] : kChoiceKeys) {
     std::string value = util::ToLower(props_.GetString(key, ""));
     std::vector<std::string> names = util::Split(accepted, '|');
@@ -53,198 +229,55 @@ util::Status Testbed::RunAll() {
                                      "': expected one of " + accepted);
     }
   }
-  spec_.scale_factor = props_.GetInt("scale_factor", 1);
-  spec_.n_ro = 1;
-  std::printf("CloudyBench testbed — SUT %s, SF%lld, seed %lld\n\n",
-              sut::SutName(spec_.sut),
-              static_cast<long long>(spec_.scale_factor),
-              static_cast<long long>(props_.GetInt("seed", 42)));
-  obs::TraceRecorder::Get().SetEnabled(props_.GetBool("obs.enable", false));
-  ReportWriter report(props_.GetString("output.csv_dir", ""));
+  // The throughput-style deployment every section starts from: one RO
+  // replica, pinned at max capacity, running the [workload] mix.
+  base.scale_factor = props_.GetInt("scale_factor", 1);
+  base.n_ro = 1;
+  std::string mix =
+      util::ToLower(props_.GetString("workload.pattern", "readwrite"));
+  base.pattern = mix == "readonly" ? "RO" : mix == "writeonly" ? "WO" : "RW";
+  base.seed = static_cast<uint64_t>(props_.GetInt("seed", 42));
+  SalesWorkloadConfig workload = SalesConfigFor(base);
+  if (util::ToLower(props_.GetString("workload.distribution", "uniform")) ==
+      "latest") {
+    workload.distribution = AccessDistribution::kLatest;
+    workload.latest_k = props_.GetInt("workload.latest_k", 10);
+  }
+
+  std::vector<Section> sections;
   if (props_.GetBool("oltp.enable", true)) {
-    CB_RETURN_IF_ERROR(RunOltp(&report));
+    sections.push_back(OltpSection(props_, base, workload));
   }
   if (props_.GetBool("elasticity.enable", false)) {
-    CB_RETURN_IF_ERROR(RunElasticity(&report));
+    CB_ASSIGN_OR_RETURN(Section s, ElasticitySection(props_, base, workload));
+    sections.push_back(std::move(s));
   }
   if (props_.GetBool("tenancy.enable", false)) {
-    CB_RETURN_IF_ERROR(RunTenancy(&report));
+    sections.push_back(TenancySection(props_, base));
   }
   if (props_.GetBool("failover.enable", false)) {
-    CB_RETURN_IF_ERROR(RunFailover(&report));
+    sections.push_back(FailoverSection(props_, base, workload));
   }
-  if (props_.GetBool("lag.enable", false)) CB_RETURN_IF_ERROR(RunLag(&report));
+  if (props_.GetBool("lag.enable", false)) {
+    sections.push_back(LagSection(props_, base));
+  }
 
-  // Observability exports (see DESIGN.md "Observability"): `obs.enable`
-  // turns the trace recorder on for the whole run; the optional paths dump
-  // a Perfetto-loadable Chrome trace and a metrics snapshot at the end.
-  if (obs::TraceRecorder::Get().enabled()) {
-    std::string trace_path = props_.GetString("obs.trace_path", "");
-    if (!trace_path.empty()) {
-      CB_RETURN_IF_ERROR(
-          obs::WriteChromeTraceFile(obs::TraceRecorder::Get(), trace_path));
-      std::printf("obs: wrote Chrome trace to %s (%zu spans)\n",
-                  trace_path.c_str(), obs::TraceRecorder::Get().span_count());
+  std::printf("CloudyBench testbed — SUT %s, SF%lld, seed %lld\n\n",
+              sut::SutName(base.sut),
+              static_cast<long long>(base.scale_factor),
+              static_cast<long long>(base.seed));
+  std::vector<CellSpec> cells;
+  for (const Section& s : sections) cells.push_back(s.spec);
+  std::vector<CellResult> rows = MatrixRunner(runner_).Run(
+      cells, [&sections](const CellContext& ctx) {
+        return sections[ctx.index].run(ctx);
+      });
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (!rows[i].ok) {
+      return Status::Internal(rows[i].id + ": " + rows[i].error);
     }
+    PrintReport(sections[i], rows[i]);
   }
-  return report.WriteCsvFiles();
-}
-
-namespace {
-SalesWorkloadConfig WorkloadFromProps(const util::Properties& props) {
-  std::string pattern =
-      util::ToLower(props.GetString("workload.pattern", "readwrite"));
-  SalesWorkloadConfig cfg = SalesWorkloadConfig::ReadWrite();
-  if (pattern == "readonly") cfg = SalesWorkloadConfig::ReadOnly();
-  if (pattern == "writeonly") cfg = SalesWorkloadConfig::WriteOnly();
-  if (util::ToLower(props.GetString("workload.distribution", "uniform")) ==
-      "latest") {
-    cfg.distribution = AccessDistribution::kLatest;
-    cfg.latest_k = props.GetInt("workload.latest_k", 10);
-  }
-  cfg.seed = static_cast<uint64_t>(props.GetInt("seed", 42));
-  return cfg;
-}
-}  // namespace
-
-util::Status Testbed::RunOltp(ReportWriter* report) {
-  SalesTransactionSet txns(WorkloadFromProps(props_));
-  CellDeployment rig(spec_, txns.Schemas());
-
-  OltpEvaluator::Options options;
-  options.concurrency =
-      static_cast<int>(props_.GetInt("oltp.concurrency", 100));
-  options.measure = sim::Seconds(
-      static_cast<double>(props_.GetInt("oltp.seconds", 10)));
-  options.metrics_export_path = props_.GetString("obs.metrics_path", "");
-  OltpResult r =
-      OltpEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
-  std::printf("[oltp]       TPS %.0f  p50 %.2fms  p99 %.2fms  cost %.4f$/min"
-              "  P-Score %.0f\n",
-              r.mean_tps, r.p50_latency_ms, r.p99_latency_ms,
-              r.cost_per_minute.total(), r.p_score);
-  report->AddOltp(sut_name_, r);
-  return Status::OK();
-}
-
-util::Status Testbed::RunElasticity(ReportWriter* report) {
-  // Either a named basic pattern, or the paper's extensible custom schedule
-  // via elastic_testTime + first_con/second_con/...
-  int64_t custom_slots = props_.GetInt("elasticity.elastic_testTime", 0);
-  if (custom_slots > static_cast<int64_t>(std::size(kSlotConKeys))) {
-    return Status::InvalidArgument(
-        "elasticity.elastic_testTime = " + std::to_string(custom_slots) +
-        " exceeds the " + std::to_string(std::size(kSlotConKeys)) +
-        " slots first_con..eighth_con can describe");
-  }
-  CellSpec spec = spec_;
-  spec.n_ro = 0;
-  spec.time_scale = props_.GetDouble("time_scale", 0.1);
-  spec.serverless = true;
-  spec.freeze_at_max = false;
-  SalesTransactionSet txns(WorkloadFromProps(props_));
-  CellDeployment rig(spec, txns.Schemas());
-
-  ElasticityEvaluator::Options options;
-  options.tau = static_cast<int>(props_.GetInt("elasticity.tau", 110));
-  options.slot = sim::Seconds(props_.GetDouble("elasticity.slot_seconds", 6));
-
-  ElasticityResult result;
-  if (custom_slots > 0) {
-    std::vector<int> schedule;
-    for (int64_t i = 0; i < custom_slots; ++i) {
-      schedule.push_back(static_cast<int>(props_.GetInt(
-          std::string("elasticity.") + kSlotConKeys[i], 0)));
-    }
-    result = ElasticityEvaluator::RunSchedule(&rig.env, rig.cluster.get(),
-                                              &txns, schedule, options);
-  } else {
-    std::string name =
-        util::ToLower(props_.GetString("elasticity.pattern", "spike"));
-    ElasticityPattern pattern = ElasticityPattern::kLargeSpike;
-    if (name == "peak") pattern = ElasticityPattern::kSinglePeak;
-    if (name == "valley") pattern = ElasticityPattern::kSingleValley;
-    if (name == "zero") pattern = ElasticityPattern::kZeroValley;
-    result = ElasticityEvaluator::Run(&rig.env, rig.cluster.get(), &txns,
-                                      pattern, options);
-  }
-
-  std::printf("[elasticity] schedule (");
-  for (size_t i = 0; i < result.schedule.size(); ++i) {
-    std::printf("%s%d", i > 0 ? "," : "", result.schedule[i]);
-  }
-  std::printf(")  TPS %.0f  total cost %.4f$  E1-Score %.0f  "
-              "%zu scaling events\n",
-              result.mean_tps, result.total_cost.total(), result.e1_score,
-              result.scaling_events.size());
-  report->AddElasticity(sut_name_, result);
-  return Status::OK();
-}
-
-util::Status Testbed::RunTenancy(ReportWriter* report) {
-  std::string name =
-      util::ToLower(props_.GetString("tenancy.pattern", "staggered_high"));
-  TenancyPattern pattern = TenancyPattern::kStaggeredHigh;
-  if (name == "high") pattern = TenancyPattern::kHighContention;
-  if (name == "low") pattern = TenancyPattern::kLowContention;
-  if (name == "staggered_low") pattern = TenancyPattern::kStaggeredLow;
-
-  sim::Environment env;
-  MultiTenantDeployment deployment(
-      &env, spec_.sut, static_cast<int>(props_.GetInt("tenancy.tenants", 3)),
-      spec_.scale_factor);
-  MultiTenancyEvaluator::Options options;
-  options.tau = static_cast<int>(props_.GetInt("tenancy.tau", 330));
-  options.slot = sim::Seconds(props_.GetDouble("tenancy.slot_seconds", 6));
-  options.slots = static_cast<int>(props_.GetInt("tenancy.slots", 3));
-  TenancyResult r =
-      MultiTenancyEvaluator::Run(&env, &deployment, pattern, options);
-  std::printf("[tenancy]    %s on %s: total TPS %.0f  cost %.4f$/min  "
-              "T-Score %.0f\n",
-              TenancyPatternName(pattern),
-              TenancyModelName(deployment.model()), r.total_tps,
-              r.cost_per_minute.total(), r.t_score);
-  report->AddTenancy(sut_name_, r);
-  return Status::OK();
-}
-
-util::Status Testbed::RunFailover(ReportWriter* report) {
-  SalesWorkloadConfig workload_cfg = WorkloadFromProps(props_);
-  workload_cfg.route_reads_to_replicas =
-      util::ToLower(props_.GetString("failover.node", "rw")) != "rw";
-  SalesTransactionSet txns(workload_cfg);
-  CellDeployment rig(spec_, txns.Schemas());
-
-  FailoverEvaluator::Options options;
-  options.concurrency =
-      static_cast<int>(props_.GetInt("failover.concurrency", 150));
-  options.fail_rw =
-      util::ToLower(props_.GetString("failover.node", "rw")) == "rw";
-  options.target_tps = props_.GetDouble("failover.target_tps", 3000);
-  FailoverResult r =
-      FailoverEvaluator::Run(&rig.env, rig.cluster.get(), &txns, options);
-  std::printf("[failover]   %s restart: F %.1fs  R %.1fs  "
-              "(pre-failure TPS %.0f, target %.0f)\n",
-              options.fail_rw ? "RW" : "RO", r.f_seconds, r.r_seconds,
-              r.pre_failure_tps, r.target_tps);
-  report->AddFailover(sut_name_, r);
-  return Status::OK();
-}
-
-util::Status Testbed::RunLag(ReportWriter* report) {
-  CellDeployment rig(spec_, sales::Schemas());
-
-  LagTimeEvaluator::Options options;
-  options.concurrency = static_cast<int>(props_.GetInt("lag.concurrency", 20));
-  options.insert_pct = static_cast<int>(props_.GetInt("lag.insert", 60));
-  options.update_pct = static_cast<int>(props_.GetInt("lag.update", 30));
-  options.delete_pct = static_cast<int>(props_.GetInt("lag.delete", 10));
-  options.seed = static_cast<uint64_t>(props_.GetInt("seed", 42));
-  LagTimeResult r = LagTimeEvaluator::Run(&rig.env, rig.cluster.get(), options);
-  std::printf("[lag]        insert %.2fms  update %.2fms  delete %.2fms  "
-              "C-Score %.2f\n",
-              r.insert_lag_ms, r.update_lag_ms, r.delete_lag_ms, r.c_score);
-  report->AddLag(sut_name_, r);
   return Status::OK();
 }
 

@@ -13,8 +13,6 @@
 #include "core/baselines.h"
 #include "core/evaluators.h"
 #include "core/microservices.h"
-#include "core/report.h"
-#include "runner/testbed.h"
 #include "core/collector.h"
 #include "core/metrics.h"
 #include "core/patterns.h"
@@ -22,6 +20,7 @@
 #include "core/workload_manager.h"
 #include "sim/environment.h"
 #include "sut/profiles.h"
+#include "util/properties.h"
 
 namespace cloudybench {
 namespace {
@@ -416,72 +415,6 @@ TEST(BaselinesTest, TpccLiteRunsAndAdvancesDistrictOrderIds) {
   // Orders were inserted.
   storage::SyntheticTable* orders = cluster.canonical()->Find("tpcc_orders");
   EXPECT_GT(orders->live_rows(), orders->base_count());
-}
-
-}  // namespace
-}  // namespace cloudybench
-
-namespace cloudybench {
-namespace {
-
-// ------------------------------------------------------------ ReportWriter
-
-TEST(ReportWriterTest, RendersAndWritesCsv) {
-  std::string dir = ::testing::TempDir() + "cb_report";
-  ASSERT_EQ(0, system(("mkdir -p " + dir).c_str()));
-  ReportWriter report(dir);
-  EXPECT_TRUE(report.csv_enabled());
-
-  OltpResult oltp;
-  oltp.mean_tps = 12345;
-  oltp.p50_latency_ms = 2.5;
-  oltp.p99_latency_ms = 9.0;
-  oltp.commits = 1000;
-  oltp.cost_per_minute = cloud::CostBreakdown{0.01, 0.002, 0, 0, 0.012};
-  oltp.p_score = 500000;
-  report.AddOltp("CDB4/rw", oltp);
-
-  LagTimeResult lag;
-  lag.insert_lag_ms = 1.5;
-  lag.c_score = 4.5;
-  report.AddLag("CDB4", lag);
-
-  ASSERT_TRUE(report.WriteCsvFiles().ok());
-  std::ifstream oltp_csv(dir + "/oltp.csv");
-  ASSERT_TRUE(oltp_csv.good());
-  std::string header, row;
-  std::getline(oltp_csv, header);
-  std::getline(oltp_csv, row);
-  EXPECT_NE(header.find("p_score"), std::string::npos);
-  EXPECT_NE(row.find("CDB4/rw"), std::string::npos);
-  EXPECT_NE(row.find("12345"), std::string::npos);
-  // Sections without rows are not written.
-  std::ifstream failover_csv(dir + "/failover.csv");
-  EXPECT_FALSE(failover_csv.good());
-}
-
-TEST(ReportWriterTest, DisabledCsvIsNoOp) {
-  ReportWriter report;
-  EXPECT_FALSE(report.csv_enabled());
-  EXPECT_TRUE(report.WriteCsvFiles().ok());
-}
-
-TEST(TestbedTest2, WritesCsvWhenConfigured) {
-  std::string dir = ::testing::TempDir() + "cb_testbed_csv";
-  ASSERT_EQ(0, system(("mkdir -p " + dir).c_str()));
-  util::Properties props;
-  ASSERT_TRUE(props.ParseString(R"(
-      sut = cdb4
-      [oltp]
-      enable = true
-      concurrency = 10
-      seconds = 1
-  )").ok());
-  props.Set("output.csv_dir", dir);
-  runner::Testbed testbed(std::move(props));
-  ASSERT_TRUE(testbed.RunAll().ok());
-  std::ifstream csv(dir + "/oltp.csv");
-  EXPECT_TRUE(csv.good());
 }
 
 }  // namespace

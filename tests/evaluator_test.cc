@@ -2,6 +2,10 @@
 // end-to-end against every SUT profile and must produce the paper's
 // qualitative behaviours (not just finish).
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -471,7 +475,14 @@ TEST(TestbedTest, UnknownChoiceValueIsErrorNamingKeyAndChoices) {
            {"elasticity.pattern", "large_spike", "peak|spike|valley|zero"},
            {"tenancy.pattern", "medium",
             "high|low|staggered_high|staggered_low"},
-           {"failover.node", "standby", "rw|ro"}}) {
+           {"failover.node", "standby", "rw|ro"},
+           // A typo, and the CSV and trace keys that the runner's --jsonl=
+           // and --*-template= flags replace.
+           {"oltp.concurency", "50", "unknown key"},
+           {"obs.enable", "true", "unknown key"},
+           {"obs.trace_path", "x.trace.json", "unknown key"},
+           {"obs.metrics_path", "x.metrics.jsonl", "unknown key"},
+           {"output.csv_dir", "results", "unknown key"}}) {
     SCOPED_TRACE(c.key);
     util::Properties props;
     props.Set("sut", "cdb3");
@@ -484,6 +495,53 @@ TEST(TestbedTest, UnknownChoiceValueIsErrorNamingKeyAndChoices) {
       EXPECT_NE(status.message().find(part), std::string::npos) << status;
     }
   }
+}
+
+TEST(TestbedTest, SameStdoutAndJsonlAtAnyJobs) {
+  // Every section, shrunk; each runs as one cell on the matrix runner.
+  constexpr char kConfig[] = R"(
+      sut = cdb4
+      [workload]
+      distribution = latest
+      [oltp]
+      concurrency = 20
+      seconds = 1
+      [elasticity]
+      enable = true
+      slot_seconds = 1
+      [tenancy]
+      enable = true
+      tau = 20
+      slot_seconds = 1
+      [failover]
+      enable = true
+      node = ro
+      concurrency = 10
+      [lag]
+      enable = true
+  )";
+  auto run = [&](int jobs, std::string* jsonl) {
+    util::Properties props;
+    EXPECT_TRUE(props.ParseString(kConfig).ok());
+    runner::RunnerOptions options;
+    options.jobs = jobs;
+    options.jsonl_path = ::testing::TempDir() + "cb_testbed.jsonl";
+    options.print_summary = false;
+    ::testing::internal::CaptureStdout();
+    EXPECT_TRUE(runner::Testbed(std::move(props), options).RunAll().ok());
+    std::fflush(stdout);
+    std::ifstream in(options.jsonl_path);
+    *jsonl = std::string(std::istreambuf_iterator<char>(in), {});
+    return ::testing::internal::GetCapturedStdout();
+  };
+  std::string jsonl1, jsonl4;
+  std::string out1 = run(1, &jsonl1);
+  EXPECT_EQ(out1, run(4, &jsonl4));
+  EXPECT_EQ(jsonl1, jsonl4);
+  // Header, blank line, then one report line and one JSONL row per section.
+  EXPECT_EQ(std::count(out1.begin(), out1.end(), '\n'), 7) << out1;
+  EXPECT_NE(out1.find("\n[failover]   RO restart: F "), std::string::npos);
+  EXPECT_EQ(std::count(jsonl1.begin(), jsonl1.end(), '\n'), 5) << jsonl1;
 }
 
 // ------------------------------------------------------------ E2 plumbing

@@ -517,7 +517,10 @@ TEST(SectionCellTest, FailoverCellMatchesEvaluatorAndReportsServiceLost) {
     spec.pattern = node;
     spec.warmup = sim::Millis(500);
     spec.measure = sim::Millis(1500);
-    CellResult cell = RunCell(spec, RunFailoverCell);
+    CellResult cell = RunCell(spec, [](const CellContext& ctx) {
+      return RunFailoverCell(ctx, SalesConfigFor(ctx.spec),
+                             /*sticky_ro=*/true, /*target_tps=*/-1);
+    });
 
     bool fail_rw = spec.pattern == "RW";
     SalesWorkloadConfig cfg = SalesConfigFor(spec);
@@ -537,6 +540,8 @@ TEST(SectionCellTest, FailoverCellMatchesEvaluatorAndReportsServiceLost) {
     EXPECT_EQ(cell.Number("service_lost", -1), 1.0);
     EXPECT_EQ(cell.Number("f_s", -1), r.f_seconds);
     EXPECT_EQ(cell.Number("r_s", -1), r.r_seconds);
+    EXPECT_EQ(cell.Number("pre_failure_tps", -1), r.pre_failure_tps);
+    EXPECT_EQ(cell.Number("target_tps", -1), r.target_tps);
   }
 }
 
@@ -574,7 +579,10 @@ TEST(SectionCellTest, ElasticityCellMatchesEvaluatorAndReportsE1Star) {
   spec.freeze_at_max = false;
   spec.time_scale = 0.01;  // 0.6 s slots
   CellResult cell = RunCell(spec, [](const CellContext& ctx) {
-    return RunElasticityCell(ctx, ElasticityPattern::kLargeSpike);
+    return RunElasticityCell(ctx, SalesConfigFor(ctx.spec),
+                             ElasticitySchedule(ElasticityPattern::kLargeSpike,
+                                                ctx.spec.concurrency),
+                             sim::Seconds(60 * ctx.spec.time_scale));
   });
 
   SalesTransactionSet txns(SalesConfigFor(spec));
@@ -592,6 +600,8 @@ TEST(SectionCellTest, ElasticityCellMatchesEvaluatorAndReportsE1Star) {
   EXPECT_EQ(cell.Number("tps", -1), r.mean_tps);
   EXPECT_EQ(cell.Number("total_cost", -1), r.total_cost.total());
   EXPECT_EQ(cell.Number("e1_score", -1), r.e1_score);
+  EXPECT_EQ(cell.Number("scaling_events", -1),
+            static_cast<double>(r.scaling_events.size()));
   EXPECT_EQ(cell.Number("e1_star", -1),
             metrics::E1Score(r.mean_tps, actual.PerMinute(r.window_end_s -
                                                           r.window_start_s)));
@@ -604,7 +614,8 @@ TEST(SectionCellTest, TenancyCellMatchesEvaluatorAndReportsTStar) {
   spec.pattern = "Staggered High";
   spec.time_scale = 0.01;  // 0.6 s slots
   CellResult cell = RunCell(spec, [](const CellContext& ctx) {
-    return RunTenancyCell(ctx, TenancyPattern::kStaggeredHigh);
+    return RunTenancyCell(ctx, TenancyPattern::kStaggeredHigh, 3, kTenancySlots,
+                          sim::Seconds(60 * ctx.spec.time_scale));
   });
 
   sim::Environment env;
