@@ -4,10 +4,10 @@
 // serving). The paper observes ~1 s prepare, ~2 s switch-over, ~3 s
 // recovering, with the cluster fully back after ~6 s.
 //
-// The phase column is read off the structured event journal: the cluster
-// emits failover.* events as recovery progresses, and each printed row
-// shows the phase of the latest event at or before its timestamp — the
-// bench no longer re-derives the schedule from RecoveryModel arithmetic.
+// The phase column is read off the structured event journal, which the
+// cell arms itself: the cluster emits failover.* events as recovery
+// progresses, and each printed row shows the phase of the latest event at
+// or before its timestamp.
 
 #include <cstdio>
 #include <string>
@@ -22,20 +22,6 @@ namespace {
 /// Rows every 0.5 s from the failure to 12 s after it.
 constexpr double kStep = 0.5;
 constexpr double kHorizon = 12.0;
-
-/// Fallback for -DCLOUDYBENCH_ENABLE_OBS=OFF builds (no journal to read):
-/// the same phase schedule derived from the RecoveryModel constants.
-const char* PhaseFromModel(double dt, const cloud::RecoveryModel& rm) {
-  double detect = rm.detect.ToSeconds();
-  double prepare_end = detect + rm.prepare_phase.ToSeconds();
-  double switch_end = prepare_end + rm.switchover_phase.ToSeconds();
-  double recover_end = switch_end + rm.recovering_phase.ToSeconds();
-  return dt < detect        ? "heartbeat detection"
-         : dt < prepare_end ? "prepare (refuse requests, collect LSNs)"
-         : dt < switch_end  ? "switch over (promote RO->RW')"
-         : dt < recover_end ? "recovering (rollback via undo)"
-                            : "recovered";
-}
 
 /// Fail-over phase at absolute sim time `t_abs_s`, per the event journal.
 /// Kinds outside the fail-over state machine (capacity.fraction ramp steps,
@@ -102,10 +88,7 @@ runner::CellResult RunTimelineCell(const runner::CellContext& ctx) {
                      0);
     result.AddText("node_a" + at, describe(old_rw));
     result.AddText("node_b" + at, describe(old_ro));
-    result.AddText("phase" + at,
-                   obs::kCompiled
-                       ? PhaseFromJournal(t_f + dt)
-                       : PhaseFromModel(dt, rig.cluster->config().recovery));
+    result.AddText("phase" + at, PhaseFromJournal(t_f + dt));
   }
   manager.StopAll();
   rig.env.RunFor(sim::Seconds(2));

@@ -1,23 +1,26 @@
 #!/usr/bin/env bash
 # Full pre-merge check: build (warnings are errors) + ctest in Release,
-# then again with AddressSanitizer and ThreadSanitizer
-# (-DCLOUDYBENCH_SANITIZE=...), plus the matrix-runner determinism smokes:
-# bench_runner_demo, the fault matrix, the open-loop saturation bench, the
-# multi-tenant row, the chaos sweep, Table IX, Fig. 8 and the props testbed
-# (cloudybench_cli on examples/configs/demo.props) must produce byte-identical
-# stdout (and JSONL / timeline CSV / profile / verdict artifacts) at
-# --jobs=1 and --jobs=2. The chaos sweep doubles as a correctness gate:
-# it exits non-zero when any end-to-end oracle fails, and the ASan suite
-# reruns a bounded sweep with instrumentation armed.
+# then again with AddressSanitizer, UndefinedBehaviorSanitizer and
+# ThreadSanitizer (-DCLOUDYBENCH_SANITIZE=...), plus the matrix-runner
+# determinism smokes: bench_runner_demo, the fault matrix, the open-loop
+# saturation bench, the multi-tenant row, the chaos sweep, Table IX,
+# Fig. 8 and the props testbed (cloudybench_cli on
+# examples/configs/demo.props) must produce byte-identical stdout (and
+# JSONL / timeline CSV / profile / verdict artifacts) at --jobs=1 and
+# --jobs=2. The chaos sweep doubles as a correctness gate: it exits
+# non-zero when any end-to-end oracle fails, and the ASan and UBSan suites
+# rerun a bounded sweep with instrumentation armed.
 # Build trees live under build-check/ so the developer's main build/ is
 # left alone. The sanitizer suites run every test, including the timeline
-# suite, under ASan/TSan via ctest. The perf gate (also available alone as
-# --perf-only, the CI perf job's entry point) compares the micro benches
-# against BENCH_core.json and the runner benches' walls against
-# BENCH_e2e.json, within tolerance bands, and FAILS on regression — see
-# docs/PERF.md for the policy.
+# suite, under ASan/UBSan/TSan via ctest. The perf gate (also available
+# alone as --perf-only) compares the micro benches against BENCH_core.json
+# and the runner benches' walls against BENCH_e2e.json, within tolerance
+# bands, and FAILS on regression — see docs/PERF.md for the policy.
 #
-# Usage: scripts/check.sh [--asan-only|--release-only|--tsan-only|--perf-only]
+# CI (.github/workflows/ci.yml) runs --release-only, --asan-only,
+# --ubsan-only and --perf-only, one job each.
+#
+# Usage: scripts/check.sh [--asan-only|--ubsan-only|--release-only|--tsan-only|--perf-only]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -255,6 +258,8 @@ case "${MODE}" in
     perf_gate
     run_suite asan -DCLOUDYBENCH_SANITIZE=address
     sanitizer_chaos_smoke asan
+    run_suite ubsan -DCLOUDYBENCH_SANITIZE=undefined
+    sanitizer_chaos_smoke ubsan
     run_suite tsan -DCLOUDYBENCH_SANITIZE=thread
     ;;
   --release-only)
@@ -270,11 +275,15 @@ case "${MODE}" in
     run_suite asan -DCLOUDYBENCH_SANITIZE=address
     sanitizer_chaos_smoke asan
     ;;
+  --ubsan-only)
+    run_suite ubsan -DCLOUDYBENCH_SANITIZE=undefined
+    sanitizer_chaos_smoke ubsan
+    ;;
   --tsan-only)
     run_suite tsan -DCLOUDYBENCH_SANITIZE=thread
     ;;
   *)
-    echo "usage: $0 [--asan-only|--release-only|--tsan-only|--perf-only]" >&2
+    echo "usage: $0 [--asan-only|--ubsan-only|--release-only|--tsan-only|--perf-only]" >&2
     exit 2
     ;;
 esac

@@ -7,30 +7,11 @@
 #include <functional>
 #include <map>
 
+#include "util/string_util.h"
+
 namespace cloudybench::obs {
 
 namespace {
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        *out += c;
-    }
-  }
-}
 
 void AppendDouble(std::string* out, double v) {
   char buf[64];
@@ -79,7 +60,7 @@ std::string ChromeTraceJsonImpl(const TraceRecorder& recorder,
     out += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
     AppendInt(&out, static_cast<int64_t>(track));
     out += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-    AppendEscaped(&out, name);
+    out += util::JsonEscape(name);
     out += "\"}}";
   }
   for (const Span& span : recorder.spans()) {
@@ -93,7 +74,7 @@ std::string ChromeTraceJsonImpl(const TraceRecorder& recorder,
     out += ",\"cat\":\"";
     out += LayerName(span.layer);
     out += "\",\"name\":\"";
-    AppendEscaped(&out, span.name);
+    out += util::JsonEscape(span.name);
     out += "\"";
     if (span.label >= 0) {
       out += ",\"args\":{\"label\":";
@@ -111,11 +92,11 @@ std::string ChromeTraceJsonImpl(const TraceRecorder& recorder,
       out += ",\n{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"ts\":";
       AppendInt(&out, event.t_us);
       out += ",\"s\":\"g\",\"cat\":\"timeline\",\"name\":\"";
-      AppendEscaped(&out, event.kind);
+      out += util::JsonEscape(event.kind);
       out += "\",\"args\":{\"scope\":\"";
-      AppendEscaped(&out, event.scope);
+      out += util::JsonEscape(event.scope);
       out += "\",\"detail\":\"";
-      AppendEscaped(&out, event.detail);
+      out += util::JsonEscape(event.detail);
       out += "\",\"value\":";
       AppendDouble(&out, event.value);
       out += "}}";
@@ -145,21 +126,21 @@ std::string MetricsJsonl(const MetricRegistry& registry) {
   std::string out;
   for (const auto& [name, counter] : registry.counters()) {
     out += "{\"name\":\"";
-    AppendEscaped(&out, name);
+    out += util::JsonEscape(name);
     out += "\",\"type\":\"counter\",\"value\":";
     AppendInt(&out, counter.value());
     out += "}\n";
   }
   for (const auto& [name, value] : registry.GaugeValues()) {
     out += "{\"name\":\"";
-    AppendEscaped(&out, name);
+    out += util::JsonEscape(name);
     out += "\",\"type\":\"gauge\",\"value\":";
     AppendDouble(&out, value);
     out += "}\n";
   }
   for (const auto& [name, histogram] : registry.histograms()) {
     out += "{\"name\":\"";
-    AppendEscaped(&out, name);
+    out += util::JsonEscape(name);
     out += "\",\"type\":\"histogram\",\"count\":";
     AppendInt(&out, histogram->count());
     out += ",\"mean_us\":";
@@ -176,7 +157,7 @@ std::string MetricsJsonl(const MetricRegistry& registry) {
   }
   for (const auto& [name, series] : registry.series()) {
     out += "{\"name\":\"";
-    AppendEscaped(&out, name);
+    out += util::JsonEscape(name);
     out += "\",\"type\":\"series\",\"points\":[";
     bool first = true;
     for (const auto& point : series->points()) {
@@ -309,7 +290,7 @@ std::string TimelineJsonl(const Timeline& timeline) {
         out += "{\"t_us\":";
         AppendInt(&out, point.t_us);
         out += ",\"record\":\"sample\",\"name\":\"";
-        AppendEscaped(&out, name);
+        out += util::JsonEscape(name);
         out += "\",\"value\":";
         AppendDouble(&out, point.value);
         out += "}\n";
@@ -318,11 +299,11 @@ std::string TimelineJsonl(const Timeline& timeline) {
         out += "{\"t_us\":";
         AppendInt(&out, event.t_us);
         out += ",\"record\":\"event\",\"scope\":\"";
-        AppendEscaped(&out, event.scope);
+        out += util::JsonEscape(event.scope);
         out += "\",\"kind\":\"";
-        AppendEscaped(&out, event.kind);
+        out += util::JsonEscape(event.kind);
         out += "\",\"detail\":\"";
-        AppendEscaped(&out, event.detail);
+        out += util::JsonEscape(event.detail);
         out += "\",\"value\":";
         AppendDouble(&out, event.value);
         out += "}\n";
@@ -344,19 +325,19 @@ std::string OracleVerdictsJsonl(const std::vector<OracleVerdictRow>& rows) {
   std::string out;
   for (const OracleVerdictRow& row : rows) {
     out += "{\"case\":\"";
-    AppendEscaped(&out, row.case_id);
+    out += util::JsonEscape(row.case_id);
     out += "\",\"sut\":\"";
-    AppendEscaped(&out, row.sut);
+    out += util::JsonEscape(row.sut);
     out += "\",\"seed\":";
     AppendInt(&out, static_cast<int64_t>(row.seed));
     out += ",\"plan\":\"";
-    AppendEscaped(&out, row.plan);
+    out += util::JsonEscape(row.plan);
     out += "\",\"oracle\":\"";
-    AppendEscaped(&out, row.oracle);
+    out += util::JsonEscape(row.oracle);
     out += "\",\"pass\":";
     out += row.pass ? "true" : "false";
     out += ",\"detail\":\"";
-    AppendEscaped(&out, row.detail);
+    out += util::JsonEscape(row.detail);
     out += "\"}\n";
   }
   return out;

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "obs/metric_registry.h"
-#include "obs/trace.h"
 #include "sim/environment.h"
 #include "sim/sim_time.h"
 #include "sim/task.h"
@@ -59,10 +58,9 @@ class Timeline {
   Timeline(const Timeline&) = delete;
   Timeline& operator=(const Timeline&) = delete;
 
-  /// Runtime toggle (benches and the runner flip this per cell). No-op
-  /// when observability is compiled out.
+  /// Runtime toggle (benches and the runner flip this per cell).
   void SetEnabled(bool on) { enabled_ = on; }
-  bool enabled() const { return kCompiled && enabled_; }
+  bool enabled() const { return enabled_; }
 
   /// Drops journal and samples. Benches/the runner call this between cells.
   void Clear();
@@ -91,8 +89,8 @@ class Timeline {
 
 /// The journal hook every emitter calls. Synchronous append — recording
 /// never advances simulated time, schedules DES events, or perturbs the
-/// experiment; when the timeline is disabled (or obs is compiled out) the
-/// call folds to a single predictable branch.
+/// experiment; when the timeline is disabled the call folds to a single
+/// predictable branch.
 inline void EmitEvent(sim::Environment* env, std::string scope,
                       std::string kind, std::string detail = "",
                       double value = 0.0) {

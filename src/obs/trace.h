@@ -11,16 +11,6 @@
 
 namespace cloudybench::obs {
 
-/// Observability can be compiled out entirely (-DCLOUDYBENCH_ENABLE_OBS=OFF
-/// defines CLOUDYBENCH_OBS_DISABLED); every recording call then folds to a
-/// constant-false branch the optimizer removes. With it compiled in, the
-/// per-call cost while disabled at runtime is a single bool test.
-#ifdef CLOUDYBENCH_OBS_DISABLED
-inline constexpr bool kCompiled = false;
-#else
-inline constexpr bool kCompiled = true;
-#endif
-
 /// Span taxonomy: which layer of the stack a span's time belongs to. The
 /// stack-recovery walk behind Profiler and LatencyBreakdown
 /// (WalkSpanStacks, obs/profiler.h) charges *exclusive* time per span, so a
@@ -93,9 +83,9 @@ class TraceRecorder {
   TraceRecorder& operator=(const TraceRecorder&) = delete;
 
   /// Runtime toggle (the matrix runner's trace/profile templates and the
-  /// obs benches flip this). No-op when compiled out.
+  /// obs benches flip this).
   void SetEnabled(bool on) { enabled_ = on; }
-  bool enabled() const { return kCompiled && enabled_; }
+  bool enabled() const { return enabled_; }
 
   /// Wall-clock capture for the profiler: when on (and recording is
   /// enabled), Begin/End also stamp steady-clock nanoseconds per span, so
@@ -104,7 +94,7 @@ class TraceRecorder {
   /// part of the byte-stable artifacts (spans and sim-time profiles ignore
   /// them entirely).
   void SetWallCapture(bool on) { wall_capture_ = on; }
-  bool wall_capture() const { return kCompiled && wall_capture_; }
+  bool wall_capture() const { return wall_capture_; }
 
   /// Drops all spans and track state and invalidates outstanding handles.
   /// Benches call this between measurement cells.

@@ -6,34 +6,6 @@ namespace cloudybench::runner {
 
 namespace {
 
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += util::StringPrintf("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 /// Emits numbers-as-strings unquoted when they round-trip as plain JSON
 /// numbers, so the artifact is directly loadable into pandas & friends.
 bool LooksNumeric(std::string_view s) {
@@ -73,19 +45,19 @@ double CellResult::Number(std::string_view key, double dflt) const {
 }
 
 std::string ToJsonLine(const CellResult& result) {
-  std::string out = "{\"cell\":\"" + JsonEscape(result.id) + "\"";
+  std::string out = "{\"cell\":\"" + util::JsonEscape(result.id) + "\"";
   out += util::StringPrintf(",\"index\":%zu", result.index);
   out += result.ok ? ",\"ok\":true" : ",\"ok\":false";
   if (!result.error.empty()) {
-    out += ",\"error\":\"" + JsonEscape(result.error) + "\"";
+    out += ",\"error\":\"" + util::JsonEscape(result.error) + "\"";
   }
   out += ",\"sim_seconds\":" + util::FormatDouble(result.sim_seconds, 3);
   for (const auto& [key, value] : result.values) {
-    out += ",\"" + JsonEscape(key) + "\":";
+    out += ",\"" + util::JsonEscape(key) + "\":";
     if (LooksNumeric(value)) {
       out += value;
     } else {
-      out += "\"" + JsonEscape(value) + "\"";
+      out += "\"" + util::JsonEscape(value) + "\"";
     }
   }
   out += "}";

@@ -3,7 +3,6 @@
 
 #include <vector>
 
-#include "obs/trace.h"
 #include "sim/environment.h"
 #include "sim/sim_time.h"
 #include "sim/task.h"
@@ -67,9 +66,7 @@ class Engine {
   /// its synchronous prologue — sound because sim::Task is lazy-start with
   /// symmetric transfer, so the callee's prologue runs inside the caller's
   /// resume, before any interleaving can occur.
-  void set_trace_track(uint64_t track) {
-    if constexpr (obs::kCompiled) trace_track_ = track;
-  }
+  void set_trace_track(uint64_t track) { trace_track_ = track; }
   uint64_t trace_track() const { return trace_track_; }
 
  private:

@@ -35,6 +35,10 @@ std::string FormatDouble(double v, int precision);
 /// Formats bytes as "128MB", "10GB", etc.
 std::string FormatBytes(int64_t bytes);
 
+/// Escapes `s` for use inside a JSON string literal: quote, backslash,
+/// \n and \t get their short escapes, other control characters \u00XX.
+std::string JsonEscape(std::string_view s);
+
 }  // namespace cloudybench::util
 
 #endif  // CLOUDYBENCH_UTIL_STRING_UTIL_H_

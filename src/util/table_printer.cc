@@ -69,34 +69,6 @@ std::string TablePrinter::ToString() const {
   return out;
 }
 
-std::string TablePrinter::ToCsv() const {
-  auto escape = [](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-    std::string out = "\"";
-    for (char c : cell) {
-      if (c == '"') out += '"';
-      out += c;
-    }
-    out += '"';
-    return out;
-  };
-  auto line = [&](const std::vector<std::string>& cells) {
-    std::string s;
-    for (size_t i = 0; i < cells.size(); ++i) {
-      if (i > 0) s += ',';
-      s += escape(cells[i]);
-    }
-    s += '\n';
-    return s;
-  };
-  std::string out = line(headers_);
-  for (const auto& row : rows_) {
-    if (row.size() == 1 && row[0] == kSeparatorSentinel) continue;
-    out += line(row);
-  }
-  return out;
-}
-
 void TablePrinter::Print(const std::string& title) const {
   if (!title.empty()) std::printf("%s\n", title.c_str());
   std::fputs(ToString().c_str(), stdout);

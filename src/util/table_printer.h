@@ -22,11 +22,6 @@ class TablePrinter {
 
   std::string ToString() const;
 
-  /// RFC-4180-style CSV (header row + data rows; separators are dropped,
-  /// cells containing commas/quotes/newlines are quoted). Lets bench output
-  /// feed straight into plotting scripts.
-  std::string ToCsv() const;
-
   /// Convenience: prints to stdout with an optional title line.
   void Print(const std::string& title = "") const;
 

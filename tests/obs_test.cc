@@ -39,7 +39,6 @@ TEST(TraceRecorderTest, DisabledRecordsNothing) {
 }
 
 TEST(TraceRecorderTest, SpansRecordInOrderAndNest) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   uint64_t track = recorder.NewTrack();
@@ -72,7 +71,6 @@ TEST(TraceRecorderTest, SpansRecordInOrderAndNest) {
 }
 
 TEST(TraceRecorderTest, ClearInvalidatesOutstandingHandles) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   uint64_t track = recorder.NewTrack();
@@ -92,7 +90,6 @@ TEST(TraceRecorderTest, ClearInvalidatesOutstandingHandles) {
 }
 
 TEST(SpanScopeTest, BracketsSimTimeAndSkipsWhenDisabled) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   sim::Environment env;
   TraceRecorder& recorder = TraceRecorder::Get();
   recorder.SetEnabled(true);
@@ -117,7 +114,6 @@ TEST(SpanScopeTest, BracketsSimTimeAndSkipsWhenDisabled) {
 // ---- latency breakdown --------------------------------------------------
 
 TEST(LatencyBreakdownTest, ExclusiveTimePerLayerSumsToTotal) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   uint64_t track = recorder.NewTrack();
@@ -150,7 +146,6 @@ TEST(LatencyBreakdownTest, ExclusiveTimePerLayerSumsToTotal) {
 }
 
 TEST(LatencyBreakdownTest, SiblingsPopAndEqualBoundariesNest) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
 
@@ -185,7 +180,6 @@ TEST(LatencyBreakdownTest, SiblingsPopAndEqualBoundariesNest) {
 }
 
 TEST(LatencyBreakdownTest, ExcludesAbortedUnlabeledAndOpenRoots) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
 
@@ -216,7 +210,6 @@ TEST(LatencyBreakdownTest, ExcludesAbortedUnlabeledAndOpenRoots) {
 // ---- exporters ----------------------------------------------------------
 
 TEST(ChromeTraceJsonTest, GoldenOutput) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
   uint64_t track = recorder.NewTrack();
@@ -360,7 +353,6 @@ std::string TracedRunBytes(uint64_t seed) {
 }
 
 TEST(DeterminismTest, SameSeedProducesIdenticalTraceBytes) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   std::string first = TracedRunBytes(7);
   std::string second = TracedRunBytes(7);
   EXPECT_GT(first.size(), 1000u);

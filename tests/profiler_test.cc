@@ -34,7 +34,6 @@ TEST(ProfilerTest, EmptyTraceYieldsOnlyRoot) {
 }
 
 TEST(ProfilerTest, MergesRepeatedStacksAndComputesExclusive) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
 
@@ -91,7 +90,6 @@ TEST(ProfilerTest, MergesRepeatedStacksAndComputesExclusive) {
 }
 
 TEST(ProfilerTest, SiblingsWithSameNameMergeAcrossTracks) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
 
@@ -122,7 +120,6 @@ TEST(ProfilerTest, SiblingsWithSameNameMergeAcrossTracks) {
 }
 
 TEST(ProfilerTest, ProfilesEveryTrackCommittedOrNot) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TraceRecorder recorder;
   recorder.SetEnabled(true);
 
@@ -197,7 +194,6 @@ TracedCell RunTracedCell(uint64_t seed, bool wall_capture = false) {
 }
 
 TEST(ProfilerCellTest, ArtifactsAreByteIdenticalAcrossRuns) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TracedCell first = RunTracedCell(11);
   TracedCell second = RunTracedCell(11);
   EXPECT_GT(first.collapsed.size(), 100u);
@@ -209,7 +205,6 @@ TEST(ProfilerCellTest, ArtifactsAreByteIdenticalAcrossRuns) {
 }
 
 TEST(ProfilerCellTest, WallCaptureFillsWallTimeButNotArtifacts) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   TracedCell timed = RunTracedCell(11, /*wall_capture=*/true);
   TracedCell untimed = RunTracedCell(11, /*wall_capture=*/false);
 

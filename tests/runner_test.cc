@@ -174,7 +174,6 @@ TEST(MatrixRunnerTest, WritesJsonlArtifactInMatrixOrder) {
 }
 
 TEST(MatrixRunnerTest, TraceTemplateWritesPerCellChromeTrace) {
-  if (!obs::kCompiled) GTEST_SKIP() << "observability compiled out";
   std::string tmpl = testing::TempDir() + "/runner_test_{sut}_{index}.json";
   CellSpec spec;
   spec.sut = sut::SutKind::kCdb3;
@@ -201,7 +200,6 @@ TEST(MatrixRunnerTest, TraceTemplateWritesPerCellChromeTrace) {
 }
 
 TEST(MatrixRunnerTest, ProfileArtifactsAreByteIdenticalAcrossJobCounts) {
-  if (!obs::kCompiled) GTEST_SKIP() << "observability compiled out";
   std::vector<CellSpec> cells = SmallOltpMatrix(/*seed=*/42);
 
   // Two sweeps of the same matrix, one worker vs eight: every per-cell
@@ -409,10 +407,8 @@ TEST(ShardedCellTest, ByteIdenticalAcrossShardCounts) {
     options.jobs = jobs;
     options.print_summary = false;
     options.jsonl_path = path(tag, ".jsonl");
-    if (obs::kCompiled) {
-      options.timeline_jsonl_template = path(tag, "_{index}_tl.jsonl");
-      options.metrics_template = path(tag, "_{index}_m.jsonl");
-    }
+    options.timeline_jsonl_template = path(tag, "_{index}_tl.jsonl");
+    options.metrics_template = path(tag, "_{index}_m.jsonl");
     std::vector<CellResult> rows =
         MatrixRunner(options).Run(tenants, RunOltpCell);
     for (const CellResult& r : rows) EXPECT_TRUE(r.ok) << r.error;
@@ -439,17 +435,15 @@ TEST(ShardedCellTest, ByteIdenticalAcrossShardCounts) {
   EXPECT_NEAR(one.Number("tps"), tenant_sum, 1e-6);
   EXPECT_GT(one.Number("commits"), 0);
 
-  if (obs::kCompiled) {
-    // Every per-tenant timeline and metrics snapshot, one file per tenant
-    // cell from the runner's templates, matches byte for byte too.
-    for (int i = 0; i < 4; ++i) {
-      for (const char* kind : {"_tl.jsonl", "_m.jsonl"}) {
-        std::string suffix = "_" + std::to_string(i) + kind;
-        std::string artifact = ReadFile(path("j1", suffix));
-        EXPECT_FALSE(artifact.empty()) << suffix;
-        EXPECT_EQ(artifact, ReadFile(path("j2", suffix))) << suffix;
-        EXPECT_EQ(artifact, ReadFile(path("j3", suffix))) << suffix;
-      }
+  // Every per-tenant timeline and metrics snapshot, one file per tenant
+  // cell from the runner's templates, matches byte for byte too.
+  for (int i = 0; i < 4; ++i) {
+    for (const char* kind : {"_tl.jsonl", "_m.jsonl"}) {
+      std::string suffix = "_" + std::to_string(i) + kind;
+      std::string artifact = ReadFile(path("j1", suffix));
+      EXPECT_FALSE(artifact.empty()) << suffix;
+      EXPECT_EQ(artifact, ReadFile(path("j2", suffix))) << suffix;
+      EXPECT_EQ(artifact, ReadFile(path("j3", suffix))) << suffix;
     }
   }
 }

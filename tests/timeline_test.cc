@@ -59,7 +59,6 @@ TEST_F(TimelineTest, DisabledTimelineRecordsNothing) {
 }
 
 TEST_F(TimelineTest, SamplerSnapshotsRegistryOnCadence) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   sim::Environment env;
   Timeline::Get().SetEnabled(true);
   MetricRegistry& registry = MetricRegistry::Get();
@@ -88,7 +87,6 @@ TEST_F(TimelineTest, SamplerSnapshotsRegistryOnCadence) {
 }
 
 TEST_F(TimelineTest, JournalKeepsEmissionOrderAndCsvMergesDeterministically) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   sim::Environment env;
   Timeline::Get().SetEnabled(true);
   env.RunFor(sim::Millis(1));
@@ -115,7 +113,6 @@ TEST_F(TimelineTest, JournalKeepsEmissionOrderAndCsvMergesDeterministically) {
 }
 
 TEST_F(TimelineTest, SamplerRecordsHistogramQuantileSeries) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   sim::Environment env;
   Timeline::Get().SetEnabled(true);
   MetricRegistry& registry = MetricRegistry::Get();
@@ -141,7 +138,6 @@ TEST_F(TimelineTest, SamplerRecordsHistogramQuantileSeries) {
 }
 
 TEST_F(TimelineTest, JsonlDeltaEncodesSamplesCsvStaysDense) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   Timeline& timeline = Timeline::Get();
   timeline.SetEnabled(true);
   // metric.x: 1, 1, 2, 2, 1 -> JSONL keeps rows at t=100/300/500.
@@ -173,8 +169,22 @@ TEST_F(TimelineTest, JsonlDeltaEncodesSamplesCsvStaysDense) {
             "500,sample,metric.x,,1,\n");
 }
 
+TEST_F(TimelineTest, JsonExportersEscapeControlCharacters) {
+  Timeline& timeline = Timeline::Get();
+  timeline.SetEnabled(true);
+  timeline.Event(100, "scope", "kind.a", "cr\r|soh\x01|end", 0.0);
+
+  const std::string escaped = "\"detail\":\"cr\\u000d|soh\\u0001|end\"";
+  std::string jsonl = TimelineJsonl(timeline);
+  std::string trace = ChromeTraceJson(TraceRecorder::Get(), timeline);
+  EXPECT_NE(jsonl.find(escaped), std::string::npos) << jsonl;
+  EXPECT_NE(trace.find(escaped), std::string::npos) << trace;
+  for (const std::string& json : {jsonl, trace}) {
+    EXPECT_EQ(json.find_first_of("\r\x01"), std::string::npos);
+  }
+}
+
 TEST_F(TimelineTest, ArtifactsByteIdenticalAcrossJobCounts) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   std::vector<runner::CellSpec> cells;
   for (sut::SutKind kind : {sut::SutKind::kAwsRds, sut::SutKind::kCdb3,
                             sut::SutKind::kCdb4}) {
@@ -262,7 +272,6 @@ FailoverRun RunFailoverScenario(bool with_timeline) {
 }
 
 TEST_F(TimelineTest, JournalContainsFullFailoverPhaseSequence) {
-  if (!kCompiled) GTEST_SKIP() << "observability compiled out";
   RunFailoverScenario(/*with_timeline=*/true);
 
   // The CDB4 promote-RO state machine, in order, straight off the journal.

@@ -460,15 +460,6 @@ TEST(TablePrinterTest, AlignsColumns) {
 namespace cloudybench::util {
 namespace {
 
-TEST(TablePrinterTest, CsvEscapesAndSkipsSeparators) {
-  TablePrinter t({"Sys", "Note"});
-  t.AddRow({"RDS", "plain"});
-  t.AddSeparator();
-  t.AddRow({"CDB4", "has,comma and \"quote\""});
-  EXPECT_EQ(t.ToCsv(),
-            "Sys,Note\nRDS,plain\nCDB4,\"has,comma and \"\"quote\"\"\"\n");
-}
-
 TEST(TimeSeriesTest, FirstSustainedAtLeastIgnoresBursts) {
   TimeSeries ts;
   // One-sample burst at t=1, then sustained from t=4.
