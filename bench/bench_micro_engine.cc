@@ -133,9 +133,9 @@ class NullEngine final : public txn::Engine {
   storage::TableSet* tables() override { return &tables_; }
   txn::LockManager* lock_manager() override { return &locks_; }
   bool available() const override { return true; }
-  sim::Task<void> ChargeCpu(sim::SimTime) override { co_return; }
-  sim::Task<util::Status> AccessPage(storage::PageId, bool) override {
-    co_return util::Status::OK();
+  sim::FastCall<void> ChargeCpu(sim::SimTime) override { return {}; }
+  sim::FastCall<util::Status> AccessPage(storage::PageId, bool) override {
+    return util::Status::OK();
   }
   sim::Task<util::Status> CommitRecords(
       const std::vector<storage::LogRecord>* records) override {

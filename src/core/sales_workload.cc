@@ -108,10 +108,20 @@ TxnType SalesTransactionSet::PickType(util::Pcg32& rng) const {
   return TxnType::kOrderStatus;
 }
 
+void SalesTransactionSet::ResolveTables(cloud::Cluster* cluster) {
+  const storage::TableSet* tables = cluster->canonical();
+  for (auto [name, id] : {std::pair{sales::kCustomerTable, &customer_id_},
+                          std::pair{sales::kOrdersTable, &orders_id_},
+                          std::pair{sales::kOrderlineTable, &orderline_id_}}) {
+    SyntheticTable* table = tables->Find(name);
+    CB_CHECK(table != nullptr) << "sales table '" << name << "' not loaded";
+    *id = table->id();
+  }
+}
+
 int64_t SalesTransactionSet::PickOrderId(cloud::Cluster* cluster,
                                          util::Pcg32& rng) {
-  SyntheticTable* orders =
-      cluster->canonical()->Find(sales::kOrdersTable);
+  SyntheticTable* orders = cluster->canonical()->FindById(orders_id_);
   if (config_.distribution == AccessDistribution::kLatest) {
     if (latest_ == nullptr) {
       latest_ = std::make_unique<util::LatestKChooser>(config_.latest_k,
@@ -135,21 +145,22 @@ int64_t SalesTransactionSet::PickOrderId(cloud::Cluster* cluster,
 sim::Task<util::Status> SalesTransactionSet::RunOne(cloud::Cluster* cluster,
                                                     util::Pcg32& rng,
                                                     TxnType* type_out) {
+  if (orders_id_ < 0) ResolveTables(cluster);
   TxnType type = PickType(rng);
   *type_out = type;
   switch (type) {
     case TxnType::kNewOrderline:
-      co_return co_await RunNewOrderline(cluster, rng);
+      return RunNewOrderline(cluster, rng);
     case TxnType::kOrderPayment:
-      co_return co_await RunOrderPayment(cluster, rng);
-    case TxnType::kOrderStatus:
-      co_return co_await RunOrderStatus(cluster, rng);
+      return RunOrderPayment(cluster, rng);
     case TxnType::kOrderlineDeletion:
-      co_return co_await RunOrderlineDeletion(cluster, rng);
+      return RunOrderlineDeletion(cluster, rng);
+    case TxnType::kOrderStatus:
     case TxnType::kOther:
       break;
   }
-  co_return Status::Internal("unreachable transaction type");
+  CB_CHECK(type == TxnType::kOrderStatus) << "unreachable transaction type";
+  return RunOrderStatus(cluster, rng);
 }
 
 /// T1: INSERT INTO orderline VALUES (DEFAULT, ?, ?, ?, ?)
@@ -157,7 +168,7 @@ sim::Task<util::Status> SalesTransactionSet::RunNewOrderline(
     cloud::Cluster* cluster, util::Pcg32& rng) {
   ComputeNode* node = cluster->rw();
   txn::TxnManager& mgr = node->txn();
-  SyntheticTable* orderline = node->tables()->Find(sales::kOrderlineTable);
+  SyntheticTable* orderline = node->tables()->FindById(orderline_id_);
 
   txn::Transaction txn = mgr.Begin(static_cast<int32_t>(TxnType::kNewOrderline));
   Row row;
@@ -180,8 +191,8 @@ sim::Task<util::Status> SalesTransactionSet::RunOrderPayment(
     cloud::Cluster* cluster, util::Pcg32& rng) {
   ComputeNode* node = cluster->rw();
   txn::TxnManager& mgr = node->txn();
-  SyntheticTable* orders = node->tables()->Find(sales::kOrdersTable);
-  SyntheticTable* customer = node->tables()->Find(sales::kCustomerTable);
+  SyntheticTable* orders = node->tables()->FindById(orders_id_);
+  SyntheticTable* customer = node->tables()->FindById(customer_id_);
 
   txn::Transaction txn = mgr.Begin(static_cast<int32_t>(TxnType::kOrderPayment));
   int64_t order_id = PickOrderId(cluster, rng);
@@ -235,7 +246,7 @@ sim::Task<util::Status> SalesTransactionSet::RunOrderStatus(
     node = cluster->rw();
   }
   txn::TxnManager& mgr = node->txn();
-  SyntheticTable* orders = node->tables()->Find(sales::kOrdersTable);
+  SyntheticTable* orders = node->tables()->FindById(orders_id_);
 
   txn::Transaction txn = mgr.Begin(static_cast<int32_t>(TxnType::kOrderStatus));
   Row order;
@@ -255,7 +266,7 @@ sim::Task<util::Status> SalesTransactionSet::RunOrderlineDeletion(
     cloud::Cluster* cluster, util::Pcg32& rng) {
   ComputeNode* node = cluster->rw();
   txn::TxnManager& mgr = node->txn();
-  SyntheticTable* orderline = node->tables()->Find(sales::kOrderlineTable);
+  SyntheticTable* orderline = node->tables()->FindById(orderline_id_);
 
   int64_t target;
   if (!pending_deletes_.empty()) {

@@ -118,6 +118,7 @@ class SalesTransactionSet : public TransactionSet {
   explicit SalesTransactionSet(SalesWorkloadConfig config);
 
   std::vector<storage::TableSchema> Schemas() const override;
+  /// Not a coroutine: returns the chosen transaction's own Task.
   sim::Task<util::Status> RunOne(cloud::Cluster* cluster, util::Pcg32& rng,
                                  TxnType* type_out) override;
 
@@ -131,6 +132,13 @@ class SalesTransactionSet : public TransactionSet {
   double total_paid_amount() const { return total_paid_amount_; }
 
  private:
+  /// Resolves the three sales tables' ids on the first RunOne. Ids are
+  /// assigned by registration order, and every cluster a set drives is
+  /// loaded from its Schemas() (the ERP set registers the sales tables
+  /// first), so one resolution serves every node and every cluster; each
+  /// operation then calls FindById on its node's *current* TableSet, which
+  /// changes at failover.
+  void ResolveTables(cloud::Cluster* cluster);
   TxnType PickType(util::Pcg32& rng) const;
   int64_t PickOrderId(cloud::Cluster* cluster, util::Pcg32& rng);
 
@@ -145,6 +153,9 @@ class SalesTransactionSet : public TransactionSet {
 
   SalesWorkloadConfig config_;
   int ratio_total_;
+  storage::TableId customer_id_ = -1;  // -1 until ResolveTables
+  storage::TableId orders_id_ = -1;
+  storage::TableId orderline_id_ = -1;
   size_t read_rr_ = 0;
   std::unique_ptr<util::LatestKChooser> latest_;
   std::unique_ptr<util::ZipfGenerator> zipf_;

@@ -128,6 +128,9 @@ struct State {
   obs::Histogram lag_us;
   std::vector<obs::Histogram> stream_latency_us;
   std::vector<obs::Histogram> stream_lag_us;
+  /// This thread's recorder, resolved once per run; each span records only
+  /// while it is enabled.
+  obs::TraceRecorder* recorder = &obs::TraceRecorder::Get();
   /// Dispatcher trace track (0 while tracing is off): load.refill and
   /// load.dispatch.wait spans land here for the profiler.
   uint64_t trace_track = 0;
@@ -218,8 +221,8 @@ sim::Process DispatcherLoop(StatePtr state) {
   State& st = *state;
   while (!st.stopped) {
     if (st.cursor == st.window.size()) {
-      obs::SpanScope refill(st.env, st.trace_track, obs::Layer::kLoad,
-                            "load.refill");
+      obs::CachedSpanScope refill(st.recorder, st.env, st.trace_track,
+                                  obs::Layer::kLoad, "load.refill");
       st.window.clear();
       st.cursor = 0;
       if (st.gen.NextBatch(st.options.batch, &st.window) == 0) break;
@@ -229,8 +232,8 @@ sim::Process DispatcherLoop(StatePtr state) {
     const Arrival a = st.window[st.cursor];
     int64_t at_us = st.base_us + a.t_us;
     if (at_us > st.env->Now().us) {
-      obs::SpanScope wait(st.env, st.trace_track, obs::Layer::kLoad,
-                          "load.dispatch.wait");
+      obs::CachedSpanScope wait(st.recorder, st.env, st.trace_track,
+                                obs::Layer::kLoad, "load.dispatch.wait");
       co_await st.env->Delay(sim::SimTime{at_us - st.env->Now().us});
       if (st.stopped) break;
     }
@@ -271,10 +274,10 @@ OpenLoopResult OpenLoopDriver::Run(sim::Environment* env,
   state->base_us = env->Now().us;
   state->collector.Start();
 
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  if (recorder.enabled()) {
-    state->trace_track = recorder.NewTrack();
-    recorder.SetTrackName(state->trace_track, "load.dispatcher");
+  obs::TraceRecorder* recorder = state->recorder;
+  if (recorder->enabled()) {
+    state->trace_track = recorder->NewTrack();
+    recorder->SetTrackName(state->trace_track, "load.dispatcher");
   }
 
   obs::MetricRegistry& registry = obs::MetricRegistry::Get();

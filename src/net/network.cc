@@ -32,18 +32,18 @@ LinkConfig LinkConfig::Rdma10G(std::string name) {
 
 Link::Link(sim::Environment* env, LinkConfig config)
     : env_(env),
+      recorder_(&obs::TraceRecorder::Get()),
       config_(std::move(config)),
       bandwidth_(env, config_.bandwidth_gbps * 1e9 / 8.0) {
   CB_CHECK_GT(config_.bandwidth_gbps, 0.0);
 }
 
 uint64_t Link::TraceTrack() {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  if (!recorder.enabled()) return 0;
-  if (trace_track_ == 0 || trace_epoch_ != recorder.epoch()) {
-    trace_track_ = recorder.NewTrack();
-    trace_epoch_ = recorder.epoch();
-    recorder.SetTrackName(trace_track_, "link/" + config_.name);
+  if (!recorder_->enabled()) return 0;
+  if (trace_track_ == 0 || trace_epoch_ != recorder_->epoch()) {
+    trace_track_ = recorder_->NewTrack();
+    trace_epoch_ = recorder_->epoch();
+    recorder_->SetTrackName(trace_track_, "link/" + config_.name);
   }
   return trace_track_;
 }
@@ -52,8 +52,8 @@ sim::Task<void> Link::Transfer(int64_t bytes) {
   CB_CHECK_GE(bytes, 0);
   bytes_transferred_ += bytes;
   ++messages_;
-  obs::SpanScope net_span(env_, TraceTrack(), obs::Layer::kNet,
-                          "link.transfer");
+  obs::CachedSpanScope net_span(recorder_, env_, TraceTrack(),
+                                obs::Layer::kNet, "link.transfer");
   // Blackholed senders park until the fault clears; the resumed coroutine
   // re-checks because a second blackhole window may have opened meanwhile.
   while (blackhole_) {
@@ -76,11 +76,10 @@ sim::Task<sim::SimTime> Link::ReserveTransfer(int64_t bytes) {
   }
   sim::SimTime arrive = bandwidth_.Reserve(static_cast<double>(bytes)) +
                         config_.latency * latency_mult_;
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  if (recorder.enabled()) {
-    obs::SpanHandle span = recorder.Begin(TraceTrack(), obs::Layer::kNet,
-                                          "link.transfer", env_->Now());
-    recorder.End(span, arrive);
+  if (recorder_->enabled()) {
+    obs::SpanHandle span = recorder_->Begin(TraceTrack(), obs::Layer::kNet,
+                                            "link.transfer", env_->Now());
+    recorder_->End(span, arrive);
   }
   co_return arrive;
 }
@@ -92,11 +91,10 @@ bool Link::TryReserveTransfer(int64_t bytes, sim::SimTime* arrive) {
   ++messages_;
   *arrive = bandwidth_.Reserve(static_cast<double>(bytes)) +
             config_.latency * latency_mult_;
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  if (recorder.enabled()) {
-    obs::SpanHandle span = recorder.Begin(TraceTrack(), obs::Layer::kNet,
-                                          "link.transfer", env_->Now());
-    recorder.End(span, *arrive);
+  if (recorder_->enabled()) {
+    obs::SpanHandle span = recorder_->Begin(TraceTrack(), obs::Layer::kNet,
+                                            "link.transfer", env_->Now());
+    recorder_->End(span, *arrive);
   }
   return true;
 }

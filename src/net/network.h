@@ -111,6 +111,7 @@ class Link {
   double NominalRate() const { return config_.bandwidth_gbps * 1e9 / 8.0; }
 
   sim::Environment* env_;
+  obs::TraceRecorder* recorder_;  // this thread's, resolved once
   LinkConfig config_;
   sim::RateResource bandwidth_;  // bytes per second
   int64_t bytes_transferred_ = 0;

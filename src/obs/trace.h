@@ -149,42 +149,23 @@ class TraceRecorder {
 /// co_await: begin/end read the environment clock at construction and
 /// destruction of the frame-local object, which is exactly the span of
 /// simulated time the scope covered.
-class SpanScope {
- public:
-  SpanScope(sim::Environment* env, uint64_t track, Layer layer,
-            const char* name)
-      : env_(env) {
-    TraceRecorder& recorder = TraceRecorder::Get();
-    if (recorder.enabled()) {
-      recorder_ = &recorder;
-      handle_ = recorder.Begin(track, layer, name, env->Now());
-    }
-  }
-  ~SpanScope() {
-    if (recorder_ != nullptr) recorder_->End(handle_, env_->Now());
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
- private:
-  sim::Environment* env_;
-  TraceRecorder* recorder_ = nullptr;
-  SpanHandle handle_;
-};
-
-/// SpanScope variant for hot paths that resolved the thread's recorder once
-/// at a coarser boundary (e.g. per transaction at Begin) and pass the cached
-/// pointer down: skips the thread-local lookup and the enabled test per
-/// scope. `recorder` must be nullptr when tracing was off at cache time —
-/// that nullptr is the entire disabled-path cost.
+///
+/// The caller passes the thread's recorder, resolved once at a coarser
+/// boundary, so no scope pays the out-of-line thread-local lookup:
+/// long-lived components (compute nodes, links, the WAL, the lock table,
+/// the open-loop driver) cache it at construction, and a scope records only
+/// while `recorder->enabled()`. A transaction caches its recorder at Begin
+/// only when tracing is on, so nullptr is the whole disabled-path cost
+/// there. A span that began is always ended, even if tracing was switched
+/// off meanwhile.
 class CachedSpanScope {
  public:
   CachedSpanScope(TraceRecorder* recorder, sim::Environment* env,
                   uint64_t track, Layer layer, const char* name)
-      : env_(env), recorder_(recorder) {
-    if (recorder_ != nullptr) {
-      handle_ = recorder_->Begin(track, layer, name, env->Now());
+      : env_(env) {
+    if (recorder != nullptr && recorder->enabled()) {
+      recorder_ = recorder;
+      handle_ = recorder->Begin(track, layer, name, env->Now());
     }
   }
   ~CachedSpanScope() {

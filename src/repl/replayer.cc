@@ -218,11 +218,7 @@ sim::Process Replayer::LaneLoop(int lane) {
       obs::CachedSpanScope apply_span(
           live, env_, live != nullptr ? LaneTrack(recorder, lane) : 0,
           obs::Layer::kReplay, "replay.apply");
-      if (replay_cpu_->CanConsumeNow()) {
-        co_await replay_cpu_->ConsumeFast(config_.apply_cost);
-      } else {
-        co_await replay_cpu_->Consume(config_.apply_cost);
-      }
+      co_await replay_cpu_->Consume(config_.apply_cost);
       ApplyToTables(entry.rec);
     }
     RecordLag(entry.rec);

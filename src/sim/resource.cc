@@ -44,16 +44,17 @@ void SlotResource::Release() {
   GrantWaiters();
 }
 
-Task<void> SlotResource::Consume(SimTime demand) {
-  CB_CHECK_GE(demand.us, 0);
+Task<void> SlotResource::ConsumeQueued(SimTime demand) {
   co_await Acquire();
-  // Speed is captured at grant time; a capacity change mid-service does not
-  // retroactively stretch in-flight work (documented approximation).
-  double sp = speed();
-  auto scaled = SimTime{static_cast<int64_t>(static_cast<double>(demand.us) / sp)};
-  co_await env_->Delay(scaled);
+  co_await env_->Delay(ServiceTime(demand));
   busy_core_seconds_ += demand.ToSeconds();
   Release();
+}
+
+void SlotResource::FinishConsume(void* self, int64_t demand_us) {
+  auto* r = static_cast<SlotResource*>(self);
+  r->busy_core_seconds_ += SimTime{demand_us}.ToSeconds();
+  r->Release();
 }
 
 RateResource::RateResource(Environment* env, double rate_per_second)

@@ -6,6 +6,7 @@
 #include <deque>
 
 #include "sim/environment.h"
+#include "sim/fast_call.h"
 #include "sim/sim_time.h"
 #include "sim/task.h"
 
@@ -41,42 +42,22 @@ class SlotResource {
 
   /// Executes `demand` core-microseconds of work. The awaiting coroutine is
   /// suspended for queueing time + demand/speed.
-  Task<void> Consume(SimTime demand);
-
-  /// True when a Consume() issued now would be granted at the current
-  /// instant (free slot, empty FIFO) — the precondition for ConsumeFast().
-  bool CanConsumeNow() const { return waiting_.empty() && active_ < slots_; }
-
-  /// Frameless fast path for the uncontended case: performs exactly what
-  /// Consume(demand) does when CanConsumeNow() — grant at the current
-  /// instant, one delay event at now + demand/speed, busy accounting and
-  /// release on resume — without materializing a Task frame. The event it
-  /// inserts is the same event, at the same point of the same dispatch
-  /// step, so the simulation is bit-identical either way (the replication
-  /// lane loop leans on this; tests/repl_lockstep_test.cc holds it to the
-  /// pre-§4k oracle). Callers MUST check CanConsumeNow() first and fall
-  /// back to Consume() when it is false.
-  auto ConsumeFast(SimTime demand) {
-    struct Awaiter {
-      SlotResource* r;
-      SimTime demand;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ++r->active_;
-        // Same grant-time speed capture as Consume().
-        double sp = r->speed();
-        auto scaled =
-            SimTime{static_cast<int64_t>(static_cast<double>(demand.us) / sp)};
-        r->env_->ScheduleHandle(r->env_->Now() + scaled, h);
-      }
-      void await_resume() const {
-        r->busy_core_seconds_ += demand.ToSeconds();
-        r->Release();
-      }
-    };
+  ///
+  /// With a slot free and nobody queued, the grant happens at the call and
+  /// the FastCall is one scheduled resume at now + demand/speed, with busy
+  /// accounting and the release on that resume: no coroutine frame. That is
+  /// the same event, at the same point of the same dispatch step, as the
+  /// queued path's uncontended run (grant, one delay event, release), so
+  /// the simulation is bit-identical either way. A contended resource runs
+  /// the queued coroutine, which keeps the two-step grant -> delay event
+  /// order of a waiter.
+  FastCall<void> Consume(SimTime demand) {
     CB_CHECK_GE(demand.us, 0);
-    CB_CHECK(CanConsumeNow());
-    return Awaiter{this, demand};
+    if (!waiting_.empty() || active_ >= slots_) return ConsumeQueued(demand);
+    ++active_;
+    return FastCall<void>::ResumeAt(env_->Now() + ServiceTime(demand),
+                                    &SlotResource::FinishConsume, this,
+                                    demand.us);
   }
 
   /// Low-level slot protocol for callers that interleave other awaits while
@@ -109,6 +90,17 @@ class SlotResource {
 
  private:
   void GrantWaiters();
+  /// Service time of `demand` at the current per-slot speed. Speed is
+  /// captured at grant time; a capacity change mid-service does not
+  /// retroactively stretch in-flight work (documented approximation).
+  SimTime ServiceTime(SimTime demand) const {
+    return SimTime{
+        static_cast<int64_t>(static_cast<double>(demand.us) / speed())};
+  }
+  /// Consume() behind a FIFO of waiters.
+  Task<void> ConsumeQueued(SimTime demand);
+  /// End of a granted Consume(): account the work, free the slot.
+  static void FinishConsume(void* self, int64_t demand_us);
 
   Environment* env_;
   double capacity_;

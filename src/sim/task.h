@@ -14,6 +14,8 @@
 namespace cloudybench::sim {
 
 class Environment;
+template <typename T>
+class FastCall;
 
 namespace internal_task {
 
@@ -153,6 +155,10 @@ class [[nodiscard]] Task {
 
  private:
   friend class Environment;
+  // A FastCall holds an empty Task unless its outcome is the slow path.
+  template <typename>
+  friend class FastCall;
+  Task() = default;
   explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
 
   std::coroutine_handle<promise_type> Release() {
@@ -212,6 +218,10 @@ class [[nodiscard]] Task<void> {
 
  private:
   friend class Environment;
+  // A FastCall holds an empty Task unless its outcome is the slow path.
+  template <typename>
+  friend class FastCall;
+  Task() = default;
   explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
 
   std::coroutine_handle<promise_type> Release() {

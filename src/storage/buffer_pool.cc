@@ -326,11 +326,10 @@ void BufferPool::Prewarm(std::span<const PageRun> runs) {
   // An empty pool records what n Admits would build without building it:
   // the i-th page is resident with stamp clock_ + i + 1, so the first page
   // of the first run is the LRU end and the last page the MRU end. A page
-  // gets its frame when the simulation first uses it. The reserve writes
-  // no frame (it is address space only), but it keeps the vector from
-  // growing by doubling as cold pages take frames, which would leave a
-  // trail of freed blocks that fragments the heap.
-  frames_.reserve(std::bit_ceil(static_cast<size_t>(n)));
+  // gets its frame when the simulation first uses it, and the frame vector
+  // grows as they do. Its slabs of 2 MiB and up are mapped and unmapped by
+  // HugePageAllocator, so growing it leaves no large freed blocks in the
+  // heap.
   int64_t start = 0;
   for (const PageRun& run : runs) {
     if (run.count == 0) continue;

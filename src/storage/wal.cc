@@ -22,7 +22,7 @@ const char* LogRecordTypeName(LogRecordType type) {
 }
 
 LogManager::LogManager(sim::Environment* env, DiskDevice* device)
-    : env_(env), device_(device) {
+    : env_(env), recorder_(&obs::TraceRecorder::Get()), device_(device) {
   CB_CHECK(env != nullptr);
   CB_CHECK(device != nullptr);
 }
@@ -66,12 +66,11 @@ sim::Task<void> LogManager::WaitDurable(int64_t lsn) {
 }
 
 uint64_t LogManager::TraceTrack() {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Get();
-  if (!recorder.enabled()) return 0;
-  if (trace_track_ == 0 || trace_epoch_ != recorder.epoch()) {
-    trace_track_ = recorder.NewTrack();
-    trace_epoch_ = recorder.epoch();
-    recorder.SetTrackName(trace_track_, "wal");
+  if (!recorder_->enabled()) return 0;
+  if (trace_track_ == 0 || trace_epoch_ != recorder_->epoch()) {
+    trace_track_ = recorder_->NewTrack();
+    trace_epoch_ = recorder_->epoch();
+    recorder_->SetTrackName(trace_track_, "wal");
   }
   return trace_track_;
 }
@@ -85,8 +84,8 @@ sim::Process LogManager::FlushLoop() {
     int64_t target = next_lsn_ - 1;
     int64_t batch_bytes = pending_bytes_;
     {
-      obs::SpanScope flush(env_, TraceTrack(), obs::Layer::kLog,
-                           "log.flush_batch");
+      obs::CachedSpanScope flush(recorder_, env_, TraceTrack(),
+                                 obs::Layer::kLog, "log.flush_batch");
       co_await device_->Write(batch_bytes);
     }
     ++flush_batches_;

@@ -12,6 +12,10 @@
 #include "storage/disk.h"
 #include "storage/row.h"
 
+namespace cloudybench::obs {
+class TraceRecorder;
+}  // namespace cloudybench::obs
+
 namespace cloudybench::storage {
 
 enum class LogRecordType { kInsert, kUpdate, kDelete, kCommit };
@@ -122,6 +126,7 @@ class LogManager {
   uint64_t TraceTrack();
 
   sim::Environment* env_;
+  obs::TraceRecorder* recorder_;  // this thread's, resolved once
   DiskDevice* device_;
   uint64_t trace_track_ = 0;
   uint64_t trace_epoch_ = 0;

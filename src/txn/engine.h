@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "sim/environment.h"
+#include "sim/fast_call.h"
 #include "sim/sim_time.h"
 #include "sim/task.h"
 #include "storage/row.h"
@@ -43,13 +44,15 @@ class Engine {
   virtual util::Status Admit() { return util::Status::OK(); }
 
   /// Charges `demand` of CPU work against the node's vCores (queueing under
-  /// load, stretching under fractional serverless capacity).
-  virtual sim::Task<void> ChargeCpu(sim::SimTime demand) = 0;
+  /// load, stretching under fractional serverless capacity). A FastCall
+  /// (sim/fast_call.h), so a free CPU slot costs no coroutine frame.
+  virtual sim::FastCall<void> ChargeCpu(sim::SimTime demand) = 0;
 
   /// Performs one page access: buffer-pool lookup plus the architecture's
-  /// miss path. Returns kUnavailable when the node is down.
-  virtual sim::Task<util::Status> AccessPage(storage::PageId page,
-                                             bool for_write) = 0;
+  /// miss path. Returns kUnavailable when the node is down. A FastCall, so
+  /// an engine can finish a buffer hit at the call.
+  virtual sim::FastCall<util::Status> AccessPage(storage::PageId page,
+                                                 bool for_write) = 0;
 
   /// Makes a committing transaction's records durable and ships them to
   /// replicas. Only valid on the read-write node. The vector is borrowed
@@ -62,10 +65,11 @@ class Engine {
   /// Trace-track context for the observability layer. The TxnManager sets
   /// the calling transaction's track synchronously before *every* engine
   /// co_await (a value set once per transaction would go stale: other
-  /// transactions interleave at suspension points). The engine reads it in
-  /// its synchronous prologue — sound because sim::Task is lazy-start with
-  /// symmetric transfer, so the callee's prologue runs inside the caller's
-  /// resume, before any interleaving can occur.
+  /// transactions interleave at suspension points). The engine reads it at
+  /// the call or in its coroutine's synchronous prologue — sound because
+  /// the call is awaited at once and sim::Task is lazy-start with symmetric
+  /// transfer, so the callee's prologue runs inside the caller's resume,
+  /// before any interleaving can occur.
   void set_trace_track(uint64_t track) { trace_track_ = track; }
   uint64_t trace_track() const { return trace_track_; }
 

@@ -18,11 +18,17 @@ namespace cloudybench::util {
 /// std::vector allocator that requests transparent huge pages for large
 /// slabs. A multi-megabyte open-addressing table probed at random misses
 /// the TLB on essentially every access with 4 KiB pages — the page walk
-/// stacks on top of the DRAM miss. Aligning slabs >= 2 MiB to the huge-page
-/// size and calling madvise(MADV_HUGEPAGE) lets the kernel back them with
-/// 2 MiB pages (the default THP policy on most distros is `madvise`, so
-/// without the hint large allocations stay on small pages). Small slabs
-/// take the ordinary operator-new path. No-op outside Linux.
+/// stacks on top of the DRAM miss. Slabs of 2 MiB and up are mapped here,
+/// not taken from malloc: a 2 MiB-aligned anonymous mmap, rounded up to
+/// whole huge pages, with madvise(MADV_HUGEPAGE) (the default THP policy on
+/// most distros is `madvise`, so without the hint large allocations stay on
+/// small pages), and munmap on free. Mapping them ourselves also keeps
+/// peak RSS independent of heap layout: glibc serves big blocks with mmap
+/// too, but raises its mmap threshold each time one is freed, so the next
+/// slabs of a growing table (1.8 -> 4 -> 8 MiB in every cell) would land
+/// in the brk heap and stay resident after they are freed. Small slabs
+/// take the ordinary operator-new path. Outside Linux large slabs use
+/// aligned operator new.
 template <typename T>
 struct HugePageAllocator {
   using value_type = T;
@@ -37,11 +43,7 @@ struct HugePageAllocator {
     if (bytes < kHugePageBytes) {
       return static_cast<T*>(::operator new(bytes));
     }
-    void* p = ::operator new(bytes, std::align_val_t{kHugePageBytes});
-#if defined(__linux__) && defined(MADV_HUGEPAGE)
-    madvise(p, bytes, MADV_HUGEPAGE);
-#endif
-    return static_cast<T*>(p);
+    return static_cast<T*>(MapHuge(bytes));
   }
 
   void deallocate(T* p, size_t n) {
@@ -49,13 +51,50 @@ struct HugePageAllocator {
     if (bytes < kHugePageBytes) {
       ::operator delete(p);
     } else {
-      ::operator delete(p, std::align_val_t{kHugePageBytes});
+      UnmapHuge(p, bytes);
     }
   }
 
   template <typename U>
   bool operator==(const HugePageAllocator<U>&) const {
     return true;
+  }
+
+ private:
+  static size_t RoundToHuge(size_t bytes) {
+    return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+  }
+
+  static void* MapHuge(size_t bytes) {
+#if defined(__linux__)
+    // Over-map by one huge page, then trim the head and the tail so the
+    // mapping starts on a 2 MiB boundary and spans whole huge pages.
+    size_t len = RoundToHuge(bytes);
+    void* raw = mmap(nullptr, len + kHugePageBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) throw std::bad_alloc();
+    uintptr_t start = reinterpret_cast<uintptr_t>(raw);
+    uintptr_t aligned = (start + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+    size_t head = aligned - start;
+    if (head > 0) munmap(raw, head);
+    size_t tail = kHugePageBytes - head;
+    if (tail > 0) munmap(reinterpret_cast<void*>(aligned + len), tail);
+    void* p = reinterpret_cast<void*>(aligned);
+#if defined(MADV_HUGEPAGE)
+    madvise(p, len, MADV_HUGEPAGE);
+#endif
+    return p;
+#else
+    return ::operator new(bytes, std::align_val_t{kHugePageBytes});
+#endif
+  }
+
+  static void UnmapHuge(void* p, size_t bytes) {
+#if defined(__linux__)
+    munmap(p, RoundToHuge(bytes));
+#else
+    ::operator delete(p, std::align_val_t{kHugePageBytes});
+#endif
   }
 };
 

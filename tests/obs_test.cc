@@ -96,7 +96,8 @@ TEST(SpanScopeTest, BracketsSimTimeAndSkipsWhenDisabled) {
   recorder.Clear();
   uint64_t track = recorder.NewTrack();
   {
-    SpanScope scope(&env, track, Layer::kNet, "net.client_rtt");
+    CachedSpanScope scope(&recorder, &env, track, Layer::kNet,
+                          "net.client_rtt");
     env.RunFor(Micros(250));
   }
   ASSERT_EQ(recorder.span_count(), 1u);
@@ -104,10 +105,29 @@ TEST(SpanScopeTest, BracketsSimTimeAndSkipsWhenDisabled) {
 
   recorder.SetEnabled(false);
   {
-    SpanScope scope(&env, track, Layer::kNet, "net.client_rtt");
+    CachedSpanScope scope(&recorder, &env, track, Layer::kNet,
+                          "net.client_rtt");
     env.RunFor(Micros(250));
   }
   EXPECT_EQ(recorder.span_count(), 1u);
+  // A span begun while enabled still ends after tracing is switched off.
+  recorder.SetEnabled(true);
+  {
+    CachedSpanScope scope(&recorder, &env, track, Layer::kNet,
+                          "net.client_rtt");
+    recorder.SetEnabled(false);
+    env.RunFor(Micros(100));
+  }
+  ASSERT_EQ(recorder.span_count(), 2u);
+  EXPECT_EQ(recorder.spans()[1].end_us - recorder.spans()[1].begin_us, 100);
+  // A transaction caches nullptr when tracing is off.
+  recorder.SetEnabled(true);
+  {
+    CachedSpanScope scope(nullptr, &env, track, Layer::kNet,
+                          "net.client_rtt");
+  }
+  EXPECT_EQ(recorder.span_count(), 2u);
+  recorder.SetEnabled(false);
   recorder.Clear();
 }
 

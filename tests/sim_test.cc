@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/environment.h"
+#include "sim/pool.h"
 #include "sim/resource.h"
 #include "sim/sim_time.h"
 #include "sim/task.h"
@@ -286,6 +287,58 @@ TEST(SlotResourceTest, CapacityIncreaseDrainsQueue) {
   EXPECT_NEAR(done[1], 1.001, 1e-9);
   EXPECT_NEAR(done[2], 1.001, 1e-9);
   EXPECT_NEAR(done[3], 1.001, 1e-9);
+}
+
+// A consumer that arrives `start` into the run, consumes `demand` and logs
+// (tag, completion time in ms).
+Process TimedConsumer(Environment* env, SlotResource* cpu, SimTime start,
+                      SimTime demand, int tag,
+                      std::vector<std::pair<int, int64_t>>* done) {
+  if (start.us > 0) co_await env->Delay(start);
+  co_await cpu->Consume(demand);
+  done->push_back({tag, env->Now().us / 1000});
+}
+
+TEST(SlotResourceTest, FreeSlotAndQueuedConsumersKeepFifoTimesAndOrder) {
+  Environment env;
+  SlotResource cpu(&env, 2.0);  // two slots at full speed
+  std::vector<std::pair<int, int64_t>> done;
+  struct Arrival {
+    int tag;
+    int64_t start_ms;
+    int64_t demand_ms;
+  };
+  // Tags 1, 2, 5, 6 and 7 find a free slot (one scheduled resume, no
+  // frame); 3, 4 and 8 queue behind busy slots (the queued coroutine).
+  const Arrival arrivals[] = {
+      {1, 0, 10},   // slot A, done 10
+      {2, 0, 30},   // slot B, done 30
+      {3, 0, 5},    // queued; granted at 10 when 1 releases, done 15
+      {4, 12, 0},   // queued behind 2 and 3; granted at 15, zero demand
+      {5, 20, 4},   // free slot, done 24
+      {6, 30, 1},   // at 30 after 2's release (scheduled earlier), done 31
+      {7, 30, 2},   // the other slot at 30, done 32
+      {8, 30, 1},   // queued; granted at 31 when 6 releases, done 32
+  };
+  FrameArena::Stats before = FrameArena::ThreadStats();
+  for (const Arrival& a : arrivals) {
+    env.Spawn(TimedConsumer(&env, &cpu, Millis(a.start_ms),
+                            Millis(a.demand_ms), a.tag, &done));
+  }
+  env.Run();
+  FrameArena::Stats after = FrameArena::ThreadStats();
+  // Same-instant completions resolve in (at_us, seq) order: 3 was
+  // scheduled before 4 was granted; 7's resume at 32 was scheduled at 30,
+  // 8's at 31.
+  const std::vector<std::pair<int, int64_t>> expected = {
+      {1, 10}, {3, 15}, {4, 15}, {5, 24}, {2, 30}, {6, 31}, {7, 32}, {8, 32}};
+  EXPECT_EQ(done, expected);
+  EXPECT_NEAR(cpu.busy_core_seconds(), 0.053, 1e-12);
+  EXPECT_EQ(cpu.active(), 0);
+  EXPECT_EQ(cpu.waiting(), 0u);
+  // Eight consumer processes plus one coroutine per queued Consume.
+  EXPECT_EQ((after.fresh + after.reused) - (before.fresh + before.reused),
+            8u + 3u);
 }
 
 // --------------------------------------------------------- RateResource

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "util/flat_hash.h"
 #include "util/properties.h"
 #include "util/random.h"
 #include "util/result.h"
@@ -535,6 +536,47 @@ TEST(SplitStreamTest, DistinctTriplesGiveDivergingReplayableStreams) {
   }
   EXPECT_GT(differs_ab, 32);
   EXPECT_GT(differs_ac, 32);
+}
+
+TEST(HugePageAllocatorTest, LargeSlabsAre2MiBAlignedAndRoundTrip) {
+  using Alloc = HugePageAllocator<int64_t>;
+  Alloc alloc;
+  constexpr size_t kHuge = Alloc::kHugePageBytes;
+  // Exactly one huge page, a slab that is not a whole number of them, and
+  // one over 8 MiB (the size the table overlays grow through).
+  for (size_t bytes : {kHuge, kHuge + 4096, 9 * kHuge - 8}) {
+    size_t n = bytes / sizeof(int64_t);
+    int64_t* p = alloc.allocate(n);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(p) % kHuge, 0u) << bytes;
+    // Every byte of the slab is usable, and the memory reads back.
+    for (size_t i = 0; i < n; i += 512) p[i] = static_cast<int64_t>(i);
+    p[n - 1] = -1;
+    for (size_t i = 0; i < n; i += 512) {
+      ASSERT_EQ(p[i], static_cast<int64_t>(i)) << bytes;
+    }
+    EXPECT_EQ(p[n - 1], -1);
+    alloc.deallocate(p, n);
+  }
+  // Small slabs still come from operator new.
+  int64_t* small = alloc.allocate(16);
+  small[15] = 7;
+  EXPECT_EQ(small[15], 7);
+  alloc.deallocate(small, 16);
+}
+
+TEST(HugePageAllocatorTest, VectorGrowsThroughHugeSlabs) {
+  // A vector doubling past 2 MiB moves its contents from a small slab into
+  // mapped ones and frees each old mapping: values survive every move.
+  std::vector<int64_t, HugePageAllocator<int64_t>> v;
+  for (int64_t i = 0; i < (int64_t{3} << 20); ++i) v.push_back(i * 3);
+  ASSERT_EQ(v.size(), size_t{3} << 20);
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(v.data()) %
+                HugePageAllocator<int64_t>::kHugePageBytes,
+            0u);
+  for (int64_t i = 0; i < static_cast<int64_t>(v.size()); i += 4099) {
+    ASSERT_EQ(v[static_cast<size_t>(i)], i * 3);
+  }
 }
 
 }  // namespace
