@@ -24,6 +24,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
+source scripts/compare_runs.sh
 JOBS="$(nproc 2>/dev/null || echo 4)"
 MODE="${1:-all}"
 
@@ -41,9 +42,10 @@ run_suite() {
 
 # Matrix-runner determinism smokes: each row runs one bench twice and the
 # two runs must agree byte for byte — stdout, the --jsonl= rows and every
-# per-cell artifact. Any divergence (ordering, rounding, wall-clock or
-# cross-cell state leaking into results) fails the check. The runner's
-# [runner] accounting line goes to stderr by design and is not compared.
+# per-cell artifact (compare_runs, scripts/compare_runs.sh). Any
+# divergence (ordering, rounding, wall-clock or cross-cell state leaking
+# into results) fails the check. The runner's [runner] accounting line
+# goes to stderr by design and is not compared.
 #
 # Row: label | binary (path in the build tree) | args of both runs | args
 # of run 1 | args of run 2.
@@ -71,23 +73,16 @@ DETERMINISM_ROWS=(
 
 determinism_smoke() {
   local dir="build-check/release"
-  local row label bench shared run1 run2 run args out
+  local row label bench shared run1 run2
   for row in "${DETERMINISM_ROWS[@]}"; do
     IFS='|' read -r label bench shared run1 run2 <<< "${row}"
     echo "=== [${label}] determinism smoke (${run1} vs ${run2}) ==="
     cmake --build "${dir}" -j "${JOBS}" --target "${bench##*/}"
-    for run in 1 2; do
-      out="${dir}/determinism/${label}/${run}"
-      rm -rf "${out}"
-      mkdir -p "${out}"
-      args="${run1}"
-      if [[ "${run}" == 2 ]]; then args="${run2}"; fi
-      # Both argument lists are word-split on purpose.
-      # shellcheck disable=SC2086
-      "${dir}/${bench}" ${shared//@OUT@/${out}} ${args} \
-        > "${out}/stdout.txt"
-    done
-    diff -r "${dir}/determinism/${label}/1" "${dir}/determinism/${label}/2"
+    if ! compare_runs "${dir}/determinism/${label}" "${bench}" "${shared}" \
+         "${dir}" "${run1}" "${dir}" "${run2}"; then
+      echo "=== [${label}] runs differ (${dir}/determinism/${label}) ==="
+      exit 1
+    fi
     echo "=== [${label}] stdout + artifacts byte-identical ==="
   done
 }
