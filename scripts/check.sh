@@ -56,8 +56,10 @@ run_suite() {
 # with the per-oracle verdict rows; the sweep exits non-zero when an oracle
 # fails, so that row is also a correctness gate), Table IX (55 sub-cells
 # of five kinds), Fig. 8 (the one bench that shrinks a warm pool and
-# prewarms it again, page by page against its cold prewarmed pages) and
-# the props testbed (one cell per section).
+# prewarms it again, page by page against its cold prewarmed pages), the
+# lag-time bench (insert/update/delete mixes applied through replication,
+# the synthetic tables' insert tail on primary and replicas) and the props
+# testbed (one cell per section).
 DETERMINISM_ROWS=(
   "runner|bench/bench_runner_demo||--jobs=1|--jobs=2"
   "timeline|bench/bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
@@ -68,6 +70,7 @@ DETERMINISM_ROWS=(
   "chaos|bench/bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
   "table9|bench/bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "fig8|bench/bench_fig8_buffersize|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "lagtime|bench/bench_lagtime|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "cli|examples/cloudybench_cli|examples/configs/demo.props --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
 )
 

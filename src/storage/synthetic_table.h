@@ -2,7 +2,6 @@
 #define CLOUDYBENCH_STORAGE_SYNTHETIC_TABLE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,6 +16,11 @@
 
 namespace cloudybench::storage {
 
+/// Deterministic contents of the base row with the given key. Every
+/// workload's generator is a pure function of the key, so a plain function
+/// pointer suffices (a captureless lambda converts to one).
+using RowGenerator = Row (*)(int64_t key);
+
 /// Static description of a table. `base_rows_per_sf * scale_factor` rows with
 /// keys [0, base_count) exist logically at load time; their contents come
 /// from the deterministic `generator`.
@@ -29,7 +33,7 @@ struct TableSchema {
   /// Average on-page footprint of one row, for page-count math.
   int32_t row_bytes = 64;
   /// Deterministic base-row contents for any key in [0, base_count).
-  std::function<Row(int64_t key)> generator;
+  RowGenerator generator = nullptr;
 };
 
 /// A copy-on-write synthetic table.
@@ -41,6 +45,20 @@ struct TableSchema {
 /// generator, and the buffer pool above sees the full SF-scaled page address
 /// space (PageOf spans all logical rows). This substitution is documented in
 /// DESIGN.md §1.
+///
+/// Mutations live in two places, chosen by key range alone:
+///   - the *tail*: rows with keys in [base_count, base_count +
+///     kMaxTailRows), i.e. serial-key inserts. Stored densely at index
+///     `key - base_count` in fixed-size chunks, so growth never rehashes or
+///     copies and a chunk never touched is never allocated. A slot holds
+///     its row iff the stored key equals the slot's key; a hole (a key that
+///     was never inserted, e.g. an aborted transaction's, or a deleted row)
+///     reads key 0, which no tail key can be because base_count > 0. A
+///     chunk is freed once every row in it is deleted, unless it is the
+///     highest chunk, where the next inserts land.
+///   - the *overlay* + tombstone set: mutations of every other key —
+///     updates and deletes of base rows, and re-inserts of deleted base
+///     rows (plus inserts of keys outside the tail's range).
 ///
 /// Concurrency: the engine is a discrete-event simulation on one thread, so
 /// no latching is needed; transactional isolation is provided by the lock
@@ -101,9 +119,20 @@ class SyntheticTable {
   /// rows. Convergence checks that compare across the log stream use this.
   uint64_t ContentHash() const;
 
-  /// Number of mutated (overlay) rows; memory accounting and tests.
-  size_t overlay_rows() const { return overlay_.size(); }
+  /// Number of stored (mutated or inserted) rows, overlay and tail;
+  /// memory accounting and tests.
+  size_t overlay_rows() const { return overlay_.size() + tail_rows_; }
   size_t tombstones() const { return tombstones_.size(); }
+  /// Tail chunks currently allocated; memory accounting and tests.
+  size_t tail_chunks() const;
+
+  /// Rows per tail chunk (48 KiB of rows): small enough that a table
+  /// with few inserts costs less than the overlay it replaces.
+  static constexpr int64_t kTailChunkRows = 1024;
+  /// Keys at or past base_count + kMaxTailRows go to the overlay, which
+  /// bounds the chunk directory at 128 KiB however far past max_key() an
+  /// insert lands.
+  static constexpr int64_t kMaxTailRows = kTailChunkRows << 14;
 
   /// Copies another table's logical contents (schema/SF must match). Used
   /// to seed a replica added while the cluster already has mutations.
@@ -111,6 +140,29 @@ class SyntheticTable {
 
  private:
   bool InBase(int64_t key) const { return key >= 0 && key < base_count_; }
+  bool InTail(int64_t key) const {
+    return key >= base_count_ && key - base_count_ < kMaxTailRows;
+  }
+
+  struct TailChunk {
+    int64_t live = 0;  // rows present in `rows`
+    Row rows[kTailChunkRows];  // value-initialized: every slot a hole
+  };
+
+  /// The tail slot of `key` (InTail), or nullptr if its chunk is absent.
+  Row* TailSlot(int64_t key) const {
+    uint64_t index = static_cast<uint64_t>(key - base_count_);
+    uint64_t chunk = index / kTailChunkRows;
+    if (chunk >= tail_.size() || tail_[chunk] == nullptr) return nullptr;
+    return &tail_[chunk]->rows[index % kTailChunkRows];
+  }
+  /// The tail row stored under `key` (InTail), or nullptr for a hole.
+  Row* TailFind(int64_t key) const {
+    Row* slot = TailSlot(key);
+    return slot != nullptr && slot->key == key ? slot : nullptr;
+  }
+  void TailInsert(const Row& row);
+  void TailErase(int64_t key);
 
   TableSchema schema_;
   int64_t base_count_;
@@ -123,6 +175,10 @@ class SyntheticTable {
   // XOR-folds entries order-independently.
   util::FlatMap64<Row> overlay_;
   util::FlatSet64 tombstones_;
+  // The dense insert tail: chunk i holds keys base_count + i *
+  // kTailChunkRows onward; null for a chunk never touched or freed.
+  std::vector<std::unique_ptr<TailChunk>> tail_;
+  size_t tail_rows_ = 0;
 };
 
 /// Name -> table registry owned by one engine instance (a compute node's

@@ -147,6 +147,190 @@ TEST(SyntheticTableTest, StateHashDetectsDifferencesAndMatchesReplay) {
   EXPECT_EQ(c.StateHash(), d.StateHash());
 }
 
+// ------------------------------------------ SyntheticTable: insert tail
+
+constexpr int64_t kChunk = SyntheticTable::kTailChunkRows;
+
+Row TailRow(int64_t key) {
+  Row r;
+  r.key = key;
+  r.ref_a = key % 7;
+  r.amount = static_cast<double>(key) * 0.25;
+  return r;
+}
+
+TEST(SyntheticTableTailTest, ReplicaInsertOrderAndGapsHashLikeInOrder) {
+  // The primary allocates serial keys across three chunks; every 5th
+  // transaction aborts, leaving its key a hole. A replica applies the
+  // committed inserts in commit order, which is not key order.
+  SyntheticTable primary(TestSchema("orderline", 100), 1);
+  std::vector<int64_t> committed;
+  for (int64_t i = 0; i < 2 * kChunk + 300; ++i) {
+    int64_t key = primary.AllocateKey();
+    if (i % 5 == 3) continue;  // aborted
+    ASSERT_TRUE(primary.Insert(TailRow(key)).ok());
+    committed.push_back(key);
+  }
+  // The last transaction commits, so the allocators agree too.
+  int64_t last = primary.AllocateKey();
+  ASSERT_TRUE(primary.Insert(TailRow(last)).ok());
+  committed.push_back(last);
+
+  std::vector<int64_t> shuffled = committed;
+  util::Pcg32 rng(7);
+  for (size_t i = shuffled.size() - 1; i > 0; --i) {
+    std::swap(shuffled[i], shuffled[rng.NextBounded(
+                               static_cast<uint32_t>(i + 1))]);
+  }
+  SyntheticTable replica(TestSchema("orderline", 100), 1);
+  for (int64_t key : shuffled) ASSERT_TRUE(replica.Insert(TailRow(key)).ok());
+
+  EXPECT_EQ(replica.ContentHash(), primary.ContentHash());
+  EXPECT_EQ(replica.live_rows(), primary.live_rows());
+  EXPECT_EQ(replica.StateHash(), primary.StateHash());
+
+  // Every tail row folds into the hash exactly as an overlay row does.
+  uint64_t expected = 0;
+  for (int64_t key : committed) {
+    expected ^= TailRow(key).Hash() * 0x2545f4914f6cdd1dULL;
+  }
+  EXPECT_EQ(primary.ContentHash(), expected);
+}
+
+TEST(SyntheticTableTailTest, TailKeyCanBeDeletedAndInsertedAgain) {
+  SyntheticTable t(TestSchema("orderline", 100), 1);
+  int64_t key = t.AllocateKey();
+  ASSERT_TRUE(t.Insert(TailRow(key)).ok());
+  uint64_t with_row = t.StateHash();
+  ASSERT_TRUE(t.Delete(key).ok());
+  EXPECT_FALSE(t.Exists(key));
+  EXPECT_EQ(t.tombstones(), 0u);  // only base rows leave tombstones
+  Row again = TailRow(key);
+  ASSERT_TRUE(t.Insert(again).ok());
+  EXPECT_EQ(t.Get(key), again);
+  EXPECT_EQ(t.StateHash(), with_row);
+  EXPECT_EQ(t.live_rows(), 101);
+}
+
+TEST(SyntheticTableTailTest, HolesAndKeysPastMaxKeyAreMissing) {
+  SyntheticTable t(TestSchema("orderline", 100), 1);
+  int64_t hole = t.AllocateKey();  // allocated, never inserted (aborted)
+  int64_t key = t.AllocateKey();
+  ASSERT_TRUE(t.Insert(TailRow(key)).ok());
+  int64_t past_max = t.max_key() + 1;
+  int64_t past_chunk = t.max_key() + 3 * kChunk;
+  int64_t past_tail = t.base_count() + SyntheticTable::kMaxTailRows + 1;
+  uint64_t before = t.StateHash();
+  for (int64_t missing : {hole, past_max, past_chunk, past_tail}) {
+    SCOPED_TRACE(missing);
+    EXPECT_FALSE(t.Exists(missing));
+    EXPECT_FALSE(t.Get(missing).has_value());
+    EXPECT_TRUE(t.Update(TailRow(missing)).IsNotFound());
+    EXPECT_TRUE(t.Delete(missing).IsNotFound());
+  }
+  EXPECT_EQ(t.StateHash(), before);
+  EXPECT_EQ(t.live_rows(), 101);
+  EXPECT_EQ(t.max_key(), key);
+  EXPECT_EQ(t.tail_chunks(), 1u);  // lookups allocate nothing
+
+  Row updated = TailRow(key);
+  updated.amount = -1.0;
+  ASSERT_TRUE(t.Update(updated).ok());
+  EXPECT_EQ(t.Get(key), updated);
+}
+
+TEST(SyntheticTableTailTest, CopyContentsFromCopiesTailRows) {
+  SyntheticTable src(TestSchema("orderline", 100), 1);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(src.Insert(TailRow(src.AllocateKey())).ok());
+  }
+  ASSERT_TRUE(src.Delete(103).ok());
+  ASSERT_TRUE(src.Insert(TailRow(100 + 2 * kChunk)).ok());  // far chunk
+  ASSERT_TRUE(src.Delete(5).ok());                          // tombstone
+
+  SyntheticTable dst(TestSchema("orderline", 100), 1);
+  dst.CopyContentsFrom(src);
+  EXPECT_EQ(dst.StateHash(), src.StateHash());
+  EXPECT_EQ(dst.overlay_rows(), src.overlay_rows());
+  EXPECT_EQ(dst.tail_chunks(), 2u);
+  EXPECT_EQ(dst.Get(104), TailRow(104));
+  EXPECT_FALSE(dst.Exists(103));
+  EXPECT_TRUE(dst.Exists(100 + 2 * kChunk));
+
+  // The copy is independent of its source.
+  ASSERT_TRUE(src.Delete(104).ok());
+  EXPECT_TRUE(dst.Exists(104));
+  ASSERT_TRUE(dst.Insert(TailRow(103)).ok());
+  EXPECT_FALSE(src.Exists(103));
+}
+
+TEST(SyntheticTableTailTest, OverlayRowsCountsTailRows) {
+  SyntheticTable t(TestSchema("orderline", 100), 1);
+  Row base = *t.Get(5);
+  base.amount = 1.0;
+  ASSERT_TRUE(t.Update(base).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(t.Insert(TailRow(t.AllocateKey())).ok());
+  }
+  EXPECT_EQ(t.overlay_rows(), 4u);
+  ASSERT_TRUE(t.Delete(101).ok());
+  EXPECT_EQ(t.overlay_rows(), 3u);
+}
+
+TEST(SyntheticTableTailTest, EmptiedChunkIsReleased) {
+  SyntheticTable t(TestSchema("orderline", 100), 1);
+  for (int64_t i = 0; i < 2 * kChunk + 10; ++i) {
+    ASSERT_TRUE(t.Insert(TailRow(t.AllocateKey())).ok());
+  }
+  EXPECT_EQ(t.tail_chunks(), 3u);
+  // Delete oldest first, as T4 does: chunk 0 is freed with its last row.
+  for (int64_t key = 100; key < 100 + kChunk - 1; ++key) {
+    ASSERT_TRUE(t.Delete(key).ok());
+  }
+  EXPECT_EQ(t.tail_chunks(), 3u);
+  ASSERT_TRUE(t.Delete(100 + kChunk - 1).ok());
+  EXPECT_EQ(t.tail_chunks(), 2u);
+  EXPECT_FALSE(t.Exists(100));
+
+  // The highest chunk stays while empty: the next serial inserts land in
+  // it. It is freed once a higher chunk opens.
+  for (int64_t key = 100 + 2 * kChunk; key <= t.max_key(); ++key) {
+    ASSERT_TRUE(t.Delete(key).ok());
+  }
+  EXPECT_EQ(t.tail_chunks(), 2u);
+  ASSERT_TRUE(t.Insert(TailRow(100 + 3 * kChunk)).ok());
+  EXPECT_EQ(t.tail_chunks(), 2u);  // chunk 1 and chunk 3
+
+  // A freed chunk comes back for a key inserted into it again.
+  ASSERT_TRUE(t.Insert(TailRow(100)).ok());
+  EXPECT_EQ(t.tail_chunks(), 3u);
+  EXPECT_EQ(t.overlay_rows(), static_cast<size_t>(kChunk + 2));
+  EXPECT_EQ(t.live_rows(), 100 + kChunk + 2);
+}
+
+TEST(SyntheticTableTailTest, InsertPastNextKeyHonoursAnyUnusedKey) {
+  SyntheticTable t(TestSchema("orderline", 100), 1);
+  int64_t far = 100 + 1000 * kChunk + 5;
+  ASSERT_TRUE(t.Insert(TailRow(far)).ok());
+  EXPECT_EQ(t.max_key(), far);
+  EXPECT_EQ(t.AllocateKey(), far + 1);
+  EXPECT_EQ(t.tail_chunks(), 1u);  // only the chunk touched
+  EXPECT_FALSE(t.Exists(far - 1));
+  EXPECT_TRUE(t.Insert(TailRow(far)).code() ==
+              util::StatusCode::kAlreadyExists);
+
+  // Past the tail's range the overlay takes the row: still any key.
+  int64_t beyond = 100 + SyntheticTable::kMaxTailRows + 7;
+  ASSERT_TRUE(t.Insert(TailRow(beyond)).ok());
+  EXPECT_EQ(t.tail_chunks(), 1u);
+  EXPECT_EQ(t.Get(beyond), TailRow(beyond));
+  EXPECT_EQ(t.AllocateKey(), beyond + 1);
+  EXPECT_EQ(t.overlay_rows(), 2u);
+  ASSERT_TRUE(t.Delete(beyond).ok());
+  EXPECT_EQ(t.tombstones(), 0u);
+  EXPECT_EQ(t.live_rows(), 101);
+}
+
 TEST(TableSetTest, RegistryAssignsIdsAndFinds) {
   TableSet set;
   SyntheticTable* orders = set.Create(TestSchema("orders", 100), 1);
