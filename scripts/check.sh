@@ -58,8 +58,9 @@ run_suite() {
 # of five kinds), Fig. 8 (the one bench that shrinks a warm pool and
 # prewarms it again, page by page against its cold prewarmed pages), the
 # lag-time bench (insert/update/delete mixes applied through replication,
-# the synthetic tables' insert tail on primary and replicas) and the props
-# testbed (one cell per section).
+# the synthetic tables' insert tail on primary and replicas), Fig. 7 (the
+# one row whose timelines carry the fail-over journal, failover.* events)
+# and the props testbed (one cell per section).
 DETERMINISM_ROWS=(
   "runner|bench/bench_runner_demo||--jobs=1|--jobs=2"
   "timeline|bench/bench_runner_demo|--timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
@@ -71,6 +72,7 @@ DETERMINISM_ROWS=(
   "table9|bench/bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "fig8|bench/bench_fig8_buffersize|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "lagtime|bench/bench_lagtime|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "fig7|bench/bench_fig7_failover_timeline|--jsonl=@OUT@/rows.jsonl --timeline-csv-template=@OUT@/{id}.timeline.csv|--jobs=1|--jobs=2"
   "cli|examples/cloudybench_cli|examples/configs/demo.props --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
 )
 

@@ -383,10 +383,10 @@ void Cluster::InjectRwRestart(sim::SimTime at) {
   env_->ScheduleCall(at, [this] {
     ComputeNode* failed = current_rw_;
     // Double-injection guard: while a recovery is in flight (or the node is
-    // killed/down) the buffer, active-txn and log-backlog figures no longer
-    // describe a crash — snapshotting them again would corrupt the recovery
-    // model's inputs. Ignore the injection and journal it.
-    if (rw_recovery_in_flight_ || rw_killed_ || !failed->available()) {
+    // down) the buffer, active-txn and log-backlog figures no longer describe
+    // a crash — snapshotting them again would corrupt the recovery model's
+    // inputs. Ignore the injection and journal it.
+    if (rw_recovery_in_flight_ || !failed->available()) {
       obs::EmitEvent(env_, Scope(), "failover.ignored",
                      "rw restart while recovery in flight");
       return;
@@ -538,44 +538,6 @@ sim::Process Cluster::InPlaceRecovery(ComputeNode* failed,
   obs::EmitEvent(env_, Scope(), "failover.recovered",
                  failed->name() + " serving again");
   env_->Spawn(CapacityRamp(failed));
-}
-
-void Cluster::InjectRwKill(sim::SimTime at) {
-  env_->ScheduleCall(at, [this] {
-    ComputeNode* victim = current_rw_;
-    // Same guard as InjectRwRestart: re-snapshotting a node that is already
-    // down or recovering would corrupt the kill snapshot.
-    if (rw_recovery_in_flight_ || rw_killed_ || !victim->available()) {
-      obs::EmitEvent(env_, Scope(), "failover.ignored",
-                     "rw kill while recovery in flight");
-      return;
-    }
-    killed_dirty_pages_ = victim->dirty_pages();
-    killed_active_txns_ = victim->active_txns();
-    killed_log_backlog_ = log_mgr_->pending_bytes();
-    obs::EmitEvent(env_, Scope(), "failover.kill", "rw kill; awaiting manual start",
-                   static_cast<double>(killed_active_txns_));
-    victim->SetAvailable(false);
-    victim->ClearLocalBuffer();
-    rw_killed_ = true;
-    // No heartbeat-driven recovery: the service stays down until
-    // ManualStartRw().
-  });
-}
-
-util::Status Cluster::ManualStartRw() {
-  if (!rw_killed_) {
-    return util::Status::FailedPrecondition("RW node was not killed");
-  }
-  if (rw_recovery_in_flight_) {
-    return util::Status::FailedPrecondition("RW recovery already in flight");
-  }
-  rw_killed_ = false;
-  rw_recovery_in_flight_ = true;
-  obs::EmitEvent(env_, Scope(), "failover.manual_start", "operator start");
-  env_->Spawn(InPlaceRecovery(current_rw_, killed_dirty_pages_,
-                              killed_active_txns_, killed_log_backlog_));
-  return util::Status::OK();
 }
 
 sim::Process Cluster::RoRecovery(ComputeNode* node) {

@@ -18,7 +18,6 @@
 #include "storage/disk.h"
 #include "storage/synthetic_table.h"
 #include "storage/wal.h"
-#include "util/status.h"
 
 namespace cloudybench::cloud {
 
@@ -189,26 +188,16 @@ class Cluster {
 
   // ---- fail-over (restart model) ----
   /// Injections landing while an RW recovery is already in flight (or the
-  /// node is killed) are ignored and journaled as "failover.ignored": a
-  /// second snapshot of a node that is already down would corrupt the
-  /// crash-time dirty/active/backlog figures the recovery charges from.
+  /// node is otherwise down) are ignored and journaled as
+  /// "failover.ignored": a second snapshot of a node that is already down
+  /// would corrupt the crash-time dirty/active/backlog figures the recovery
+  /// charges from.
   void InjectRwRestart(sim::SimTime at);
   void InjectRoRestart(size_t ro_index, sim::SimTime at);
   bool rw_available() const { return current_rw_->available(); }
   /// True from an accepted RW injection until the failed node has fully
   /// rejoined (promote path) or resumed serving (in-place path).
   bool rw_recovery_in_flight() const { return rw_recovery_in_flight_; }
-
-  // ---- fail-over (kill/stop model) ----
-  // §II-E: the kill/stop APIs leave the service down until the operator
-  // starts it manually — which is why the evaluators use the restart model.
-  // Provided for completeness and for experiments on operator reaction
-  // time.
-  void InjectRwKill(sim::SimTime at);
-  /// Brings a killed RW node back (recovery then proceeds as a restart).
-  /// Fails unless the node was killed.
-  util::Status ManualStartRw();
-  bool rw_killed() const { return rw_killed_; }
 
   // ---- chaos mutation hook ----
   /// Plants a deliberate durability bug: each accepted RW crash silently
@@ -283,11 +272,6 @@ class Cluster {
   /// Guards against double injection (see InjectRwRestart).
   bool rw_recovery_in_flight_ = false;
   bool wal_tail_loss_for_test_ = false;
-  // Kill/stop model state: crash snapshot awaiting a manual start.
-  bool rw_killed_ = false;
-  int64_t killed_dirty_pages_ = 0;
-  int64_t killed_active_txns_ = 0;
-  int64_t killed_log_backlog_ = 0;
 };
 
 }  // namespace cloudybench::cloud

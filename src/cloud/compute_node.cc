@@ -118,7 +118,6 @@ sim::Task<util::Status> ComputeNode::AwaitFetchSlot(storage::PageId pid) {
                                     " fetch deadline exceeded; retries "
                                     "exhausted");
     }
-    ++fetch_retries_;
     co_await env_->Delay(BackoffDelay(attempt));
     if (!available_) co_return Status::Unavailable(config_.name + " down");
   }

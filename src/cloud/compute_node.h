@@ -156,9 +156,7 @@ class ComputeNode : public txn::Engine, public ScalingTarget {
   /// Arms deadline/backoff on the miss path. `seed` feeds the node's own
   /// Pcg32 stream for backoff jitter; workload RNG draws are untouched.
   void EnableFetchPolicy(const FetchPolicy& policy, uint64_t seed);
-  const FetchPolicy& fetch_policy() const { return fetch_policy_; }
   int64_t fetch_timeouts() const { return fetch_timeouts_; }
-  int64_t fetch_retries() const { return fetch_retries_; }
   /// Admission-control load shedding: while on, Admit() refuses new
   /// transactions with kResourceExhausted. Driven (with hysteresis and
   /// journaling) by the cluster's DegradationController.
@@ -171,7 +169,6 @@ class ComputeNode : public txn::Engine, public ScalingTarget {
   /// multi-tenant throttling). Each change is journaled as a
   /// "capacity.fraction" timeline event (throttle / boost).
   void SetCapacityFraction(double fraction);
-  double capacity_fraction() const { return capacity_fraction_; }
 
   storage::BufferPool& buffer() { return buffer_; }
   sim::SlotResource& cpu() { return *cpu_; }
@@ -235,7 +232,6 @@ class ComputeNode : public txn::Engine, public ScalingTarget {
   util::Pcg32 fetch_rng_{0, 0};
   bool shedding_ = false;
   int64_t fetch_timeouts_ = 0;
-  int64_t fetch_retries_ = 0;
   int64_t shed_rejects_ = 0;
 };
 

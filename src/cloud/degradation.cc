@@ -120,7 +120,6 @@ void DegradationController::ProbeOnce() {
   if (shedding_node_ == nullptr && waiting >= policy_.shed_start_queue) {
     rw->SetShedding(true);
     shedding_node_ = rw;
-    ++shed_windows_;
     obs::EmitEvent(env_, cluster_->ObsScope(), "shed.start", rw->name(),
                    static_cast<double>(waiting));
   } else if (shedding_node_ == rw && waiting <= policy_.shed_stop_queue) {

@@ -77,7 +77,6 @@ class DegradationController {
   const DegradationPolicy& policy() const { return policy_; }
   int64_t breaker_opens() const { return breaker_opens_; }
   int64_t breaker_closes() const { return breaker_closes_; }
-  int64_t shed_windows() const { return shed_windows_; }
 
  private:
   struct Breaker {
@@ -104,7 +103,6 @@ class DegradationController {
   ComputeNode* shedding_node_ = nullptr;
   int64_t breaker_opens_ = 0;
   int64_t breaker_closes_ = 0;
-  int64_t shed_windows_ = 0;
 };
 
 }  // namespace cloudybench::cloud

@@ -62,8 +62,6 @@ class ResourceMeter {
 
   const util::TimeSeries& vcores_series() const { return vcores_; }
   const util::TimeSeries& memory_series() const { return memory_; }
-  const util::TimeSeries& storage_series() const { return storage_; }
-  const util::TimeSeries& iops_series() const { return iops_; }
 
   const PriceBook& prices() const { return prices_; }
 

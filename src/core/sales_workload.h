@@ -124,8 +124,6 @@ class SalesTransactionSet : public TransactionSet {
 
   uint64_t Seed() const override { return config_.seed; }
   const SalesWorkloadConfig& config() const { return config_; }
-  /// Ids inserted by T1 awaiting deletion by T4.
-  size_t pending_deletions() const { return pending_deletes_.size(); }
   /// Sum of O_TOTALAMOUNT over every committed T2 — the amount the
   /// workload has moved into customer credit (consistency tests compare
   /// this against the database's aggregate credit growth).

@@ -32,6 +32,12 @@ TenancyModel TenancyModelFor(sut::SutKind kind);
 /// SUT's tenancy model, plus the deployment-level resource/cost accounting
 /// that Table VII reports (isolated instances triple network+IOPS; the
 /// pool bills compute once; branches bill storage once).
+///
+/// This is the one deploy path outside runner::CellDeployment (DESIGN.md
+/// §4k). The elastic pool shares one SlotResource CPU and one log
+/// DiskDevice across its tenant clusters, so every tenant lives in one
+/// environment against resources this object owns; a CellDeployment is one
+/// cluster in its own environment with its own CPU and log device.
 class MultiTenantDeployment {
  public:
   /// `time_scale` compresses control-plane timing (branch pause/resume)

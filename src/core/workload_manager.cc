@@ -31,7 +31,6 @@ WorkloadManager::~WorkloadManager() {
 
 void WorkloadManager::SetConcurrency(int concurrency) {
   CB_CHECK_GE(concurrency, 0);
-  target_ = concurrency;
   // Retire surplus workers...
   while (static_cast<int>(active_.size()) > concurrency) {
     active_.back()->stop = true;

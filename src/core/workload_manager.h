@@ -38,7 +38,6 @@ class WorkloadManager {
   /// Target worker count; spawns or retires workers as needed.
   void SetConcurrency(int concurrency);
   int concurrency() const { return static_cast<int>(live_workers_); }
-  int target_concurrency() const { return target_; }
 
   /// Stops every worker (they drain their current transaction).
   void StopAll() { SetConcurrency(0); }
@@ -66,7 +65,6 @@ class WorkloadManager {
   uint64_t seed_;
   uint64_t spawned_ = 0;
   size_t live_workers_ = 0;
-  int target_ = 0;
   std::vector<std::shared_ptr<WorkerControl>> active_;
 };
 

@@ -168,32 +168,6 @@ double ArrivalPlan::PeakRate() const {
   return total;
 }
 
-double ArrivalPlan::MeanRate(sim::SimTime horizon) const {
-  if (horizon.us <= 0) return 0.0;
-  double area = 0.0;  // expected arrivals over [0, horizon)
-  constexpr int kSteps = 1024;
-  for (const ArrivalSpec& spec : streams) {
-    int64_t end_us = spec.duration.us > 0
-                         ? std::min(spec.start.us + spec.duration.us,
-                                    horizon.us)
-                         : horizon.us;
-    if (end_us <= spec.start.us) continue;
-    double base = spec.rate;
-    if (spec.process == ArrivalProcess::kMmpp) {
-      // Symmetric exponential dwell: the chain spends half its time in each
-      // state, so the long-run base rate is the two-state mean.
-      base = 0.5 * (spec.rate + spec.rate2);
-    }
-    double dt_us = static_cast<double>(end_us - spec.start.us) / kSteps;
-    for (int i = 0; i < kSteps; ++i) {
-      sim::SimTime t{spec.start.us +
-                     static_cast<int64_t>((i + 0.5) * dt_us)};
-      area += base * spec.ShapeFactor(t, sim::SimTime{end_us}) * dt_us / 1e6;
-    }
-  }
-  return area / horizon.ToSeconds();
-}
-
 ArrivalGenerator::ArrivalGenerator(const ArrivalPlan& plan, uint64_t seed,
                                    sim::SimTime horizon)
     : plan_(plan), horizon_(horizon) {

@@ -127,9 +127,6 @@ struct ArrivalPlan {
   bool empty() const { return streams.empty(); }
   /// Sum of per-stream peak rates — the plan's worst-case offered load.
   double PeakRate() const;
-  /// Mean offered rate over [0, horizon) (integral of λ(t) dt / horizon),
-  /// evaluated numerically; used for offered-load reporting.
-  double MeanRate(sim::SimTime horizon) const;
 };
 
 /// One scheduled arrival. `t_us` is the offset from the run base the user

@@ -66,20 +66,13 @@ sim::Task<void> Link::Transfer(int64_t bytes) {
 }
 
 sim::Task<sim::SimTime> Link::ReserveTransfer(int64_t bytes) {
-  CB_CHECK_GE(bytes, 0);
-  bytes_transferred_ += bytes;
-  ++messages_;
-  while (blackhole_) {
+  // Blackholed senders park until the fault clears and re-check, as in
+  // Transfer(), since a second blackhole window may have opened meanwhile.
+  sim::SimTime arrive;
+  while (!TryReserveTransfer(bytes, &arrive)) {
     sim::Waiter gate(env_);
     blackholed_waiters_.push_back(&gate);
     co_await gate;
-  }
-  sim::SimTime arrive = bandwidth_.Reserve(static_cast<double>(bytes)) +
-                        config_.latency * latency_mult_;
-  if (recorder_->enabled()) {
-    obs::SpanHandle span = recorder_->Begin(TraceTrack(), obs::Layer::kNet,
-                                            "link.transfer", env_->Now());
-    recorder_->End(span, arrive);
   }
   co_return arrive;
 }

@@ -48,22 +48,19 @@ class Link {
   sim::Task<void> Transfer(int64_t bytes);
 
   /// Batched-sender path: reserves bandwidth for one message at the current
-  /// instant exactly as Transfer() would — same FIFO virtual queue, same
-  /// counters, same blackhole parking — but returns the arrival instant
-  /// instead of suspending until it. The caller delivers the payload at the
-  /// returned time (the replication ship loop reserves a whole flush batch
-  /// this way without spawning a coroutine per record). The "link.transfer"
-  /// span is recorded with its true [reserve, arrival] simulated extent.
-  /// Degradation applies to future reservations, per SetDegraded's contract.
-  sim::Task<sim::SimTime> ReserveTransfer(int64_t bytes);
-
-  /// Synchronous ReserveTransfer: identical counters, reservation, and
-  /// trace span, but returns false instead of parking when the link is
-  /// blackholed (no counters are touched then). ReserveTransfer never
-  /// suspends on a healthy link, so on `true` this is the same operation
-  /// without the coroutine frame; callers fall back to the awaitable form
-  /// on `false`.
+  /// instant on the same FIFO virtual queue as Transfer(), but returns the
+  /// arrival instant instead of suspending until it. The caller delivers the
+  /// payload at the returned time (the replication ship loop reserves a
+  /// whole flush batch this way without spawning a coroutine per record).
+  /// Counts the message and records the "link.transfer" span with its true
+  /// [reserve, arrival] simulated extent. Returns false, touching nothing,
+  /// when the link is blackholed. Degradation applies to future
+  /// reservations, per SetDegraded's contract.
   bool TryReserveTransfer(int64_t bytes, sim::SimTime* arrive);
+
+  /// TryReserveTransfer that parks while the link is blackholed and
+  /// reserves once the fault clears; callers take it on a `false`.
+  sim::Task<sim::SimTime> ReserveTransfer(int64_t bytes);
 
   const LinkConfig& config() const { return config_; }
   double bandwidth_gbps() const { return config_.bandwidth_gbps; }

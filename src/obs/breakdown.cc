@@ -24,8 +24,7 @@ LatencyBreakdown LatencyBreakdown::FromTrace(const TraceRecorder& recorder) {
       return true;
     }
     int OnOpen(const Span&, int) override { return 0; }
-    void OnClose(const Span& span, int, int64_t exclusive_us, int64_t,
-                 int64_t) override {
+    void OnClose(const Span& span, int, int64_t exclusive_us) override {
       row_->layer_ms[static_cast<int>(span.layer)] +=
           static_cast<double>(exclusive_us) / 1e3;
     }

@@ -13,18 +13,14 @@ namespace cloudybench::obs {
 namespace {
 
 struct TrackState {
-  // (span, index into recorder.spans()) in recording order. The index keys
-  // the parallel wall-stamp vector.
-  std::vector<std::pair<const Span*, size_t>> spans;
-  const Span* root = nullptr;  // first kTxn span on the track
+  std::vector<const Span*> spans;  // recording order
+  const Span* root = nullptr;      // first kTxn span on the track
 };
 
 struct Frame {
   const Span* span;
   int node;
-  int64_t child_us = 0;       // sim-time covered by direct children
-  int64_t wall_ns = -1;       // this span's own wall duration (-1: none)
-  int64_t wall_child_ns = 0;  // wall time covered by direct children
+  int64_t child_us = 0;  // sim-time covered by direct children
 };
 
 void AppendInt(std::string* out, int64_t v) {
@@ -39,34 +35,27 @@ void WalkSpanStacks(const TraceRecorder& recorder, SpanStackVisitor& visitor) {
   // Bucket closed spans by track, preserving recording order (std::map:
   // ascending track id, itself allocation-ordered and deterministic).
   std::map<uint64_t, TrackState> tracks;
-  const std::vector<Span>& spans = recorder.spans();
-  for (size_t i = 0; i < spans.size(); ++i) {
-    const Span& span = spans[i];
+  for (const Span& span : recorder.spans()) {
     if (span.end_us < 0) continue;  // still open; cannot be attributed
     TrackState& state = tracks[span.track];
-    state.spans.push_back({&span, i});
+    state.spans.push_back(&span);
     if (state.root == nullptr && span.layer == Layer::kTxn) state.root = &span;
   }
 
-  const std::vector<TraceRecorder::WallStamp>& wall = recorder.wall_stamps();
   std::vector<Frame> stack;
 
   auto close_top = [&visitor, &stack] {
     Frame done = stack.back();
     stack.pop_back();
     int64_t dur = done.span->end_us - done.span->begin_us;
-    visitor.OnClose(*done.span, done.node, dur - done.child_us, done.wall_ns,
-                    done.wall_ns >= 0 ? done.wall_ns - done.wall_child_ns : 0);
-    if (!stack.empty()) {
-      stack.back().child_us += dur;
-      if (done.wall_ns >= 0) stack.back().wall_child_ns += done.wall_ns;
-    }
+    visitor.OnClose(*done.span, done.node, dur - done.child_us);
+    if (!stack.empty()) stack.back().child_us += dur;
   };
 
   for (auto& [track, state] : tracks) {
     if (!visitor.OnTrack(state.root)) continue;
     stack.clear();
-    for (const auto& [span, index] : state.spans) {
+    for (const Span* span : state.spans) {
       // The top is done once it ended at or before this span begins —
       // unless the two coincide in a way that still nests (an abort closes
       // the root at the same sim time as an inner span).
@@ -78,10 +67,6 @@ void WalkSpanStacks(const TraceRecorder& recorder, SpanStackVisitor& visitor) {
       Frame frame;
       frame.span = span;
       frame.node = visitor.OnOpen(*span, stack.empty() ? 0 : stack.back().node);
-      if (index < wall.size() && wall[index].begin_ns >= 0 &&
-          wall[index].end_ns >= 0) {
-        frame.wall_ns = wall[index].end_ns - wall[index].begin_ns;
-      }
       stack.push_back(frame);
     }
     while (!stack.empty()) close_top();
@@ -118,17 +103,11 @@ Profiler Profiler::FromTrace(const TraceRecorder& recorder) {
       return id;
     }
 
-    void OnClose(const Span& span, int id, int64_t exclusive_us,
-                 int64_t wall_ns, int64_t wall_exclusive_ns) override {
+    void OnClose(const Span& span, int id, int64_t exclusive_us) override {
       Node& node = profile_->nodes_[static_cast<size_t>(id)];
       node.count += 1;
       node.inclusive_us += span.end_us - span.begin_us;
       node.exclusive_us += exclusive_us;
-      if (wall_ns >= 0) {
-        node.wall_inclusive_ns += wall_ns;
-        node.wall_exclusive_ns += wall_exclusive_ns;
-        profile_->has_wall_ = true;
-      }
     }
 
    private:
@@ -260,40 +239,6 @@ std::string Profiler::ChromeTraceJson() const {
     }
   }
   out += "\n]}\n";
-  return out;
-}
-
-std::string Profiler::WallReport() const {
-  std::string out =
-      "node                                       count   sim_incl_ms   "
-      "sim_excl_ms  wall_incl_ms  wall_excl_ms\n";
-  struct Item {
-    int node;
-    int depth;
-  };
-  std::vector<Item> work;
-  const Node& root = nodes_[0];
-  for (auto it = root.children.rbegin(); it != root.children.rend(); ++it) {
-    work.push_back(Item{*it, 0});
-  }
-  while (!work.empty()) {
-    Item item = work.back();
-    work.pop_back();
-    const Node& node = nodes_[static_cast<size_t>(item.node)];
-    std::string label(static_cast<size_t>(item.depth) * 2, ' ');
-    label += node.name;
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "%-40s %8" PRId64 " %13.3f %13.3f %13.3f %13.3f\n",
-                  label.c_str(), node.count,
-                  static_cast<double>(node.inclusive_us) / 1e3,
-                  static_cast<double>(node.exclusive_us) / 1e3,
-                  static_cast<double>(node.wall_inclusive_ns) / 1e6,
-                  static_cast<double>(node.wall_exclusive_ns) / 1e6);
-    out += buf;
-    for (auto it = node.children.rbegin(); it != node.children.rend(); ++it) {
-      work.push_back(Item{*it, item.depth + 1});
-    }
-  }
   return out;
 }
 

@@ -26,10 +26,8 @@ class SpanStackVisitor {
   /// value is handed to the span's children and to its OnClose.
   virtual int OnOpen(const Span& span, int parent) = 0;
   /// A span is popped, children before their parent. `exclusive_us` is
-  /// its duration minus its direct children's. The wall fields are -1 and
-  /// 0 unless the recorder captured wall stamps for the span.
-  virtual void OnClose(const Span& span, int node, int64_t exclusive_us,
-                       int64_t wall_ns, int64_t wall_exclusive_ns) = 0;
+  /// its duration minus its direct children's.
+  virtual void OnClose(const Span& span, int node, int64_t exclusive_us) = 0;
 };
 
 void WalkSpanStacks(const TraceRecorder& recorder, SpanStackVisitor& visitor);
@@ -37,13 +35,11 @@ void WalkSpanStacks(const TraceRecorder& recorder, SpanStackVisitor& visitor);
 /// Deterministic hierarchical profiler over a recorded trace.
 ///
 /// Folds every track's spans (WalkSpanStacks, committed or not) into one
-/// merged call tree keyed by span-name path: each node carries call count,
-/// inclusive and *exclusive* simulated time, and — when the recorder
-/// captured wall stamps — inclusive/exclusive host wall time. Because span
-/// order and sim timestamps are deterministic, the sim-time side of the
-/// profile (and both artifact exports) is byte-identical for a given cell
-/// at any `--jobs` count; wall time is reported separately and never lands
-/// in the byte-stable artifacts.
+/// merged call tree keyed by span-name path: each node carries call count
+/// and inclusive and *exclusive* simulated time. Because span order and sim
+/// timestamps are deterministic, the profile (and both artifact exports) is
+/// byte-identical for a given cell at any `--jobs` count. The profiler
+/// measures sim time only; host time is not a span property.
 ///
 /// Exports:
 ///  - CollapsedStack(): "a;b;c <exclusive_sim_us>" lines (flamegraph.pl /
@@ -51,8 +47,6 @@ void WalkSpanStacks(const TraceRecorder& recorder, SpanStackVisitor& visitor);
 ///  - ChromeTraceJson(): the aggregated tree as a synthetic icicle (one
 ///    "X" event per node, children packed left-to-right inside their
 ///    parent), loadable in Perfetto.
-///  - WallReport(): human-readable table including wall time; only built
-///    when wall capture was on, and intentionally not byte-stable.
 class Profiler {
  public:
   struct Node {
@@ -62,8 +56,6 @@ class Profiler {
     int64_t count = 0;
     int64_t inclusive_us = 0;
     int64_t exclusive_us = 0;
-    int64_t wall_inclusive_ns = 0;
-    int64_t wall_exclusive_ns = 0;
     std::vector<int> children;  // sorted by (name, layer)
   };
 
@@ -71,7 +63,6 @@ class Profiler {
 
   /// nodes()[0] is the synthetic root (name ""); real stacks hang off it.
   const std::vector<Node>& nodes() const { return nodes_; }
-  bool has_wall_time() const { return has_wall_; }
 
   int64_t total_exclusive_us() const;
   /// Sum of exclusive sim-time over nodes of one layer.
@@ -79,11 +70,9 @@ class Profiler {
 
   std::string CollapsedStack() const;
   std::string ChromeTraceJson() const;
-  std::string WallReport() const;
 
  private:
   std::vector<Node> nodes_;
-  bool has_wall_ = false;
 };
 
 util::Status WriteProfileCollapsedFile(const Profiler& profile,

@@ -1,6 +1,5 @@
 #include "obs/trace.h"
 
-#include <chrono>
 #include <utility>
 
 namespace cloudybench::obs {
@@ -41,17 +40,8 @@ TraceRecorder& TraceRecorder::Get() {
   return recorder;
 }
 
-namespace {
-int64_t WallNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-}  // namespace
-
 void TraceRecorder::Clear() {
   spans_.clear();
-  wall_.clear();
   track_names_.clear();
   next_track_ = 1;
   ++epoch_;
@@ -72,12 +62,6 @@ SpanHandle TraceRecorder::Begin(uint64_t track, Layer layer, const char* name,
   span.name = name;
   span.label = label;
   spans_.push_back(span);
-  if (wall_capture_) {
-    // Spans recorded before capture was switched on get a -1 placeholder so
-    // wall_ stays index-aligned with spans_.
-    wall_.resize(spans_.size() - 1, WallStamp{});
-    wall_.push_back(WallStamp{WallNowNs(), -1});
-  }
   return SpanHandle{epoch_, spans_.size() - 1, true};
 }
 
@@ -86,9 +70,6 @@ void TraceRecorder::End(SpanHandle handle, sim::SimTime now) {
   Span& span = spans_[handle.index];
   if (span.end_us >= 0) return;  // already ended
   span.end_us = now.us;
-  if (handle.index < wall_.size() && wall_[handle.index].begin_ns >= 0) {
-    wall_[handle.index].end_ns = WallNowNs();
-  }
 }
 
 void TraceRecorder::MarkCommitted(SpanHandle handle) {

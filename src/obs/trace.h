@@ -87,15 +87,6 @@ class TraceRecorder {
   void SetEnabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  /// Wall-clock capture for the profiler: when on (and recording is
-  /// enabled), Begin/End also stamp steady-clock nanoseconds per span, so
-  /// Profiler::FromTrace can attribute real host time per span stack. Off
-  /// by default — wall stamps are inherently nondeterministic and are never
-  /// part of the byte-stable artifacts (spans and sim-time profiles ignore
-  /// them entirely).
-  void SetWallCapture(bool on) { wall_capture_ = on; }
-  bool wall_capture() const { return wall_capture_; }
-
   /// Drops all spans and track state and invalidates outstanding handles.
   /// Benches call this between measurement cells.
   void Clear();
@@ -121,15 +112,6 @@ class TraceRecorder {
   uint64_t epoch() const { return epoch_; }
   size_t span_count() const { return spans_.size(); }
 
-  /// Wall stamp of the span with the same index in spans(); begin_ns is -1
-  /// for spans recorded while wall capture was off. Empty unless wall
-  /// capture was ever on this epoch.
-  struct WallStamp {
-    int64_t begin_ns = -1;
-    int64_t end_ns = -1;
-  };
-  const std::vector<WallStamp>& wall_stamps() const { return wall_; }
-
  private:
   bool Live(const SpanHandle& handle) const {
     return handle.valid && handle.epoch == epoch_ &&
@@ -137,11 +119,9 @@ class TraceRecorder {
   }
 
   bool enabled_ = false;
-  bool wall_capture_ = false;
   uint64_t epoch_ = 1;
   uint64_t next_track_ = 1;
   std::vector<Span> spans_;
-  std::vector<WallStamp> wall_;
   std::map<uint64_t, std::string> track_names_;
 };
 

@@ -105,8 +105,6 @@ class Replayer {
 
   /// All records with LSN <= applied_lsn() are visible on the replica.
   int64_t applied_lsn() const;
-  bool IsApplied(int64_t lsn) const { return applied_lsn() >= lsn; }
-  int64_t last_shipped_lsn() const { return last_shipped_lsn_; }
   int64_t records_applied() const { return records_applied_; }
   /// Records shipped but not yet applied — the replay backlog gauge the
   /// metric registry exports.

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "sim/pool.h"
-
 namespace cloudybench::sim {
 
 namespace internal_task {
@@ -54,20 +52,16 @@ void Environment::ScheduleCall(SimTime at, std::function<void()> fn) {
   queue_.Push(Event{at.us, next_seq_++, nullptr, slot});
 }
 
-ProcessRef Environment::Spawn(Process process) {
+void Environment::Spawn(Process process) {
   auto h = process.Release();
   CB_CHECK(h) << "spawning an empty process";
   auto& promise = h.promise();
   promise.env = this;
   promise.detached = true;
-  promise.state = std::allocate_shared<ProcessState>(
-      RecyclingAllocator<ProcessState>{});
-  ProcessRef ref = promise.state;
   promise.live_index = static_cast<uint32_t>(detached_live_.size());
   detached_live_.push_back(DetachedEntry{h, &promise});
   h.resume();        // run until the first suspension (or completion)
   CollectFinished();
-  return ref;
 }
 
 void Environment::RemoveDetached(uint32_t index) {

@@ -36,12 +36,11 @@ namespace cloudybench::sim {
 ///
 /// Hot-path layout (DESIGN.md §4f/§4i): events are 32-byte PODs in a
 /// monotone radix queue keyed on time; ScheduleCall closures live in a
-/// recycling slab and events carry only a slot index; ProcessState blocks
-/// come from a thread-local free list; detached-frame bookkeeping is a
-/// swap-remove vector indexed from the promise. Events scheduled at the
-/// *current* instant (waiter wakeups, zero-delay handoffs — the majority in
-/// an OLTP cell) skip the queue entirely and go to a FIFO ring drained
-/// before the clock advances. None of these change the (time, seq)
+/// recycling slab and events carry only a slot index; detached-frame
+/// bookkeeping is a swap-remove vector indexed from the promise. Events
+/// scheduled at the *current* instant (waiter wakeups, zero-delay handoffs —
+/// the majority in an OLTP cell) skip the queue entirely and go to a FIFO
+/// ring drained before the clock advances. None of these change the (time, seq)
 /// dispatch order, so simulated results are bit-identical to the naive
 /// priority_queue implementation they replaced; see §4f for the ordering
 /// proof.
@@ -62,8 +61,9 @@ class Environment {
   /// injection, timeouts) that are not coroutines themselves.
   void ScheduleCall(SimTime at, std::function<void()> fn);
 
-  /// Starts a detached process; the environment owns and reclaims the frame.
-  ProcessRef Spawn(Process process);
+  /// Starts a detached process, fire-and-forget: the environment owns and
+  /// reclaims the frame, and nothing waits on it.
+  void Spawn(Process process);
 
   /// Awaitable that suspends the caller for `d` of simulated time.
   auto Delay(SimTime d) {
@@ -78,20 +78,6 @@ class Environment {
     };
     CB_CHECK_GE(d.us, 0);
     return Awaiter{this, now_ + d};
-  }
-
-  /// Awaitable that completes when the spawned process finishes.
-  auto Join(ProcessRef ref) {
-    struct Awaiter {
-      ProcessRef ref;
-      bool await_ready() const noexcept { return ref->done; }
-      void await_suspend(std::coroutine_handle<> h) {
-        ref->joiners.push_back(h);
-      }
-      void await_resume() const noexcept {}
-    };
-    CB_CHECK(ref != nullptr);
-    return Awaiter{std::move(ref)};
   }
 
   /// Dispatches the next event. Returns false when the queue is empty.

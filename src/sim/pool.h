@@ -9,12 +9,13 @@ namespace cloudybench::sim {
 
 /// Thread-local recycling allocator for fixed-size control blocks.
 ///
-/// Used with std::allocate_shared so ProcessState (and its shared_ptr
-/// control block, fused into one allocation) comes off a free list instead
-/// of the global allocator — Spawn/Join stop allocating in steady state.
+/// Used with std::allocate_shared so an open-loop session (and its
+/// shared_ptr control block, fused into one allocation) comes off a free
+/// list instead of the global allocator (load/open_loop.cc wraps it with
+/// live-block accounting) — sessions stop allocating in steady state.
 ///
 /// The free list is thread-local, which matches the codebase's thread model:
-/// an Environment is thread-affine and ProcessRefs never cross threads (the
+/// an Environment is thread-affine and sessions never cross threads (the
 /// matrix runner gives each worker its own cells). Blocks are returned to
 /// the list of whichever thread released the last reference and freed for
 /// real at thread exit.

@@ -60,8 +60,24 @@ class SlotResource {
                                     demand.us);
   }
 
-  /// Low-level slot protocol for callers that interleave other awaits while
-  /// holding a slot. Pair every granted Acquire() with exactly one Release().
+  int active() const { return active_; }
+  size_t waiting() const { return waiting_.size(); }
+
+  /// Total core-seconds of work completed so far (for utilization = delta
+  /// busy / (capacity * delta time)).
+  double busy_core_seconds() const { return busy_core_seconds_; }
+
+ private:
+  void GrantWaiters();
+  /// Service time of `demand` at the current per-slot speed. Speed is
+  /// captured at grant time; a capacity change mid-service does not
+  /// retroactively stretch in-flight work (documented approximation).
+  SimTime ServiceTime(SimTime demand) const {
+    return SimTime{
+        static_cast<int64_t>(static_cast<double>(demand.us) / speed())};
+  }
+  /// Takes a slot, or queues FIFO until GrantWaiters() takes one for the
+  /// caller. Every granted Acquire() pairs with exactly one Release().
   auto Acquire() {
     struct Awaiter {
       SlotResource* r;
@@ -80,23 +96,6 @@ class SlotResource {
     return Awaiter{this};
   }
   void Release();
-
-  int active() const { return active_; }
-  size_t waiting() const { return waiting_.size(); }
-
-  /// Total core-seconds of work completed so far (for utilization = delta
-  /// busy / (capacity * delta time)).
-  double busy_core_seconds() const { return busy_core_seconds_; }
-
- private:
-  void GrantWaiters();
-  /// Service time of `demand` at the current per-slot speed. Speed is
-  /// captured at grant time; a capacity change mid-service does not
-  /// retroactively stretch in-flight work (documented approximation).
-  SimTime ServiceTime(SimTime demand) const {
-    return SimTime{
-        static_cast<int64_t>(static_cast<double>(demand.us) / speed())};
-  }
   /// Consume() behind a FIFO of waiters.
   Task<void> ConsumeQueued(SimTime demand);
   /// End of a granted Consume(): account the work, free the slot.

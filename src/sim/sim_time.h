@@ -22,7 +22,6 @@ struct SimTime {
 
   constexpr double ToSeconds() const { return static_cast<double>(us) / 1e6; }
   constexpr double ToMillis() const { return static_cast<double>(us) / 1e3; }
-  constexpr double ToMicros() const { return static_cast<double>(us); }
 
   friend constexpr auto operator<=>(SimTime a, SimTime b) = default;
 

@@ -3,9 +3,8 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <memory>
+#include <exception>
 #include <utility>
-#include <vector>
 
 #include "sim/pool.h"
 #include "sim/sim_time.h"
@@ -26,19 +25,6 @@ SimTime EnvNow(Environment* env);
 void NotifyDetachedFinished(Environment* env, std::coroutine_handle<> h,
                             uint32_t live_index);
 
-}  // namespace internal_task
-
-/// Observable completion state of a detached (spawned) process.
-struct ProcessState {
-  bool done = false;
-  std::vector<std::coroutine_handle<>> joiners;
-};
-
-/// Handle returned by Environment::Spawn; join it with env.Join(ref).
-using ProcessRef = std::shared_ptr<ProcessState>;
-
-namespace internal_task {
-
 struct PromiseBase {
   /// Coroutine frames come off the thread-local FrameArena: promise_type
   /// inherits these, so every Task<T>/Process frame is a size-class bucket
@@ -53,11 +39,25 @@ struct PromiseBase {
   /// Parent coroutine awaiting this task inline (call semantics).
   std::coroutine_handle<> continuation;
   /// Set when spawned detached via Environment::Spawn.
-  ProcessRef state;
   bool detached = false;
   /// Slot in the environment's detached-live vector; maintained by
   /// swap-remove so Spawn/finish bookkeeping never hashes or allocates.
   uint32_t live_index = 0;
+};
+
+/// The part of a promise that depends on T: how a value is returned and
+/// handed to the awaiting parent.
+template <typename T>
+struct ValuePromise : PromiseBase {
+  T value{};
+  void return_value(T v) { value = std::move(v); }
+  T TakeValue() { return std::move(value); }
+};
+
+template <>
+struct ValuePromise<void> : PromiseBase {
+  void return_void() {}
+  void TakeValue() {}
 };
 
 struct FinalAwaiter {
@@ -67,13 +67,6 @@ struct FinalAwaiter {
   std::coroutine_handle<> await_suspend(
       std::coroutine_handle<Promise> h) noexcept {
     auto& p = static_cast<PromiseBase&>(h.promise());
-    if (p.state != nullptr) {
-      p.state->done = true;
-      for (std::coroutine_handle<> j : p.state->joiners) {
-        ScheduleHandleAt(p.env, EnvNow(p.env), j);
-      }
-      p.state->joiners.clear();
-    }
     if (p.continuation) {
       // Inline call: transfer control back to the awaiting parent at the
       // same simulated instant.
@@ -101,26 +94,23 @@ struct FinalAwaiter {
 ///     transfer) the instant the child finishes. The awaiting expression
 ///     owns the child frame.
 ///
-///  2. Detached process:
-///        ProcessRef ref = env.Spawn(WorkerLoop(...));
-///        co_await env.Join(ref);   // optional
+///  2. Detached process (fire-and-forget):
+///        env.Spawn(WorkerLoop(...));
 ///     The environment owns the frame and reclaims it on completion (or at
-///     environment teardown for processes that never finish).
+///     environment teardown for processes that never finish). A process
+///     reports its outcome through state it was given, not through a handle.
 ///
 /// Tasks never started are destroyed cleanly by ~Task. Exceptions are not
 /// used in this codebase; an escaping exception terminates.
 template <typename T>
 class [[nodiscard]] Task {
  public:
-  struct promise_type : internal_task::PromiseBase {
-    T value{};
-
+  struct promise_type : internal_task::ValuePromise<T> {
     Task get_return_object() {
       return Task(std::coroutine_handle<promise_type>::from_promise(*this));
     }
     std::suspend_always initial_suspend() noexcept { return {}; }
     internal_task::FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_value(T v) { value = std::move(v); }
     void unhandled_exception() { std::terminate(); }
   };
 
@@ -151,70 +141,7 @@ class [[nodiscard]] Task {
     return handle_;
   }
 
-  T await_resume() { return std::move(handle_.promise().value); }
-
- private:
-  friend class Environment;
-  // A FastCall holds an empty Task unless its outcome is the slow path.
-  template <typename>
-  friend class FastCall;
-  Task() = default;
-  explicit Task(std::coroutine_handle<promise_type> h) : handle_(h) {}
-
-  std::coroutine_handle<promise_type> Release() {
-    return std::exchange(handle_, nullptr);
-  }
-  void DestroyIfOwned() {
-    if (handle_) {
-      handle_.destroy();
-      handle_ = nullptr;
-    }
-  }
-
-  std::coroutine_handle<promise_type> handle_;
-};
-
-/// Task<void> specialization (processes and side-effecting calls).
-template <>
-class [[nodiscard]] Task<void> {
- public:
-  struct promise_type : internal_task::PromiseBase {
-    Task get_return_object() {
-      return Task(std::coroutine_handle<promise_type>::from_promise(*this));
-    }
-    std::suspend_always initial_suspend() noexcept { return {}; }
-    internal_task::FinalAwaiter final_suspend() noexcept { return {}; }
-    void return_void() {}
-    void unhandled_exception() { std::terminate(); }
-  };
-
-  Task(Task&& o) noexcept : handle_(std::exchange(o.handle_, nullptr)) {}
-  Task& operator=(Task&& o) noexcept {
-    if (this != &o) {
-      DestroyIfOwned();
-      handle_ = std::exchange(o.handle_, nullptr);
-    }
-    return *this;
-  }
-  Task(const Task&) = delete;
-  Task& operator=(const Task&) = delete;
-  ~Task() { DestroyIfOwned(); }
-
-  bool await_ready() const noexcept { return false; }
-
-  template <typename ParentPromise>
-  std::coroutine_handle<> await_suspend(
-      std::coroutine_handle<ParentPromise> parent) noexcept {
-    auto& parent_base =
-        static_cast<internal_task::PromiseBase&>(parent.promise());
-    CB_CHECK(parent_base.env != nullptr)
-        << "awaiting a Task from a coroutine with no environment";
-    handle_.promise().env = parent_base.env;
-    handle_.promise().continuation = parent;
-    return handle_;
-  }
-
-  void await_resume() {}
+  T await_resume() { return handle_.promise().TakeValue(); }
 
  private:
   friend class Environment;

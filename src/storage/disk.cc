@@ -28,11 +28,6 @@ sim::Task<void> DiskDevice::Write(int64_t bytes) {
   co_await env_->Delay(config_.write_latency * fail_latency_mult_);
 }
 
-void DiskDevice::SetProvisionedIops(double iops) {
-  provisioned_iops_ = iops;
-  iops_.SetRate(provisioned_iops_ / fail_iops_div_);
-}
-
 void DiskDevice::SetFailSlow(double iops_div, double latency_mult) {
   CB_CHECK_GE(iops_div, 1.0);
   CB_CHECK_GE(latency_mult, 1.0);

@@ -34,9 +34,6 @@ class DiskDevice {
   sim::Task<void> Read(int64_t bytes);
   sim::Task<void> Write(int64_t bytes);
 
-  /// Autoscaling of provisioned IOPS (serverless storage tiers). Composes
-  /// with a fail-slow fault: the effective rate is provisioned/iops_div.
-  void SetProvisionedIops(double iops);
   double provisioned_iops() const { return provisioned_iops_; }
 
   // ---- fault hooks (src/fault) ----

@@ -7,20 +7,6 @@
 
 namespace cloudybench::storage {
 
-const char* LogRecordTypeName(LogRecordType type) {
-  switch (type) {
-    case LogRecordType::kInsert:
-      return "INSERT";
-    case LogRecordType::kUpdate:
-      return "UPDATE";
-    case LogRecordType::kDelete:
-      return "DELETE";
-    case LogRecordType::kCommit:
-      return "COMMIT";
-  }
-  return "?";
-}
-
 LogManager::LogManager(sim::Environment* env, DiskDevice* device)
     : env_(env), recorder_(&obs::TraceRecorder::Get()), device_(device) {
   CB_CHECK(env != nullptr);

@@ -20,8 +20,6 @@ namespace cloudybench::storage {
 
 enum class LogRecordType { kInsert, kUpdate, kDelete, kCommit };
 
-const char* LogRecordTypeName(LogRecordType type);
-
 /// One redo record. DML records carry the after-image; the commit record
 /// makes the transaction's records eligible for shipping to replicas.
 struct LogRecord {
@@ -98,7 +96,6 @@ class LogManager {
   /// call.
   void AddShipListener(std::function<void(std::span<const LogRecord>)> listener);
 
-  int64_t next_lsn() const { return next_lsn_; }
   int64_t appended_lsn() const { return next_lsn_ - 1; }
   int64_t flushed_lsn() const { return flushed_lsn_; }
   int64_t flush_batches() const { return flush_batches_; }

@@ -142,10 +142,6 @@ class Transaction {
 
   int64_t id() const { return id_; }
   bool active() const { return active_; }
-  bool read_only() const { return book_ == nullptr || book_->writes.empty(); }
-  size_t write_count() const {
-    return book_ == nullptr ? 0 : book_->writes.size();
-  }
 
  private:
   friend class TxnManager;

@@ -108,12 +108,6 @@ void Properties::Set(const std::string& key, std::string value) {
 void Properties::SetInt(const std::string& key, int64_t value) {
   values_[key] = std::to_string(value);
 }
-void Properties::SetDouble(const std::string& key, double value) {
-  values_[key] = StringPrintf("%.17g", value);
-}
-void Properties::SetBool(const std::string& key, bool value) {
-  values_[key] = value ? "true" : "false";
-}
 
 bool Properties::Has(const std::string& key) const {
   return values_.count(key) > 0;
@@ -201,16 +195,6 @@ Result<int64_t> Properties::RequireInt(const std::string& key) const {
   if (!ParseInt64(raw, &v)) {
     return Status::InvalidArgument("config key '" + key +
                                    "' is not an integer: " + raw);
-  }
-  return v;
-}
-
-Result<double> Properties::RequireDouble(const std::string& key) const {
-  CB_ASSIGN_OR_RETURN(std::string raw, RequireString(key));
-  double v = 0;
-  if (!ParseDouble(raw, &v)) {
-    return Status::InvalidArgument("config key '" + key +
-                                   "' is not a number: " + raw);
   }
   return v;
 }

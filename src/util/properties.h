@@ -37,8 +37,6 @@ class Properties {
   /// Programmatic assignment (same override semantics as parsing).
   void Set(const std::string& key, std::string value);
   void SetInt(const std::string& key, int64_t value);
-  void SetDouble(const std::string& key, double value);
-  void SetBool(const std::string& key, bool value);
 
   bool Has(const std::string& key) const;
 
@@ -58,7 +56,6 @@ class Properties {
   /// Strict getters: error if missing or malformed.
   Result<std::string> RequireString(const std::string& key) const;
   Result<int64_t> RequireInt(const std::string& key) const;
-  Result<double> RequireDouble(const std::string& key) const;
 
   /// All keys with the given prefix (used to enumerate tenants, statements).
   std::vector<std::string> KeysWithPrefix(const std::string& prefix) const;

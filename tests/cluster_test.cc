@@ -303,11 +303,7 @@ TEST(ClusterTest, RwRestartWhileRecoveryInFlightIsIgnored) {
   // Double injection mid-recovery: ignored, does not restart the clock or
   // spawn a second recovery.
   rig.cluster->InjectRwRestart(sim::Seconds(6));
-  // A kill landing mid-recovery is equally ignored (it would otherwise
-  // leave the cluster waiting for a manual start that recovery races).
-  rig.cluster->InjectRwKill(sim::Seconds(7));
   rig.env.RunUntil(sim::Seconds(8));
-  EXPECT_FALSE(rig.cluster->rw_killed());
   EXPECT_TRUE(rig.cluster->rw_recovery_in_flight());
 
   rig.env.RunUntil(sim::Seconds(60));
@@ -450,31 +446,6 @@ TEST(ClusterTest, Cdb4RemotePoolPrewarmCountsNoMisses) {
   rig.env.RunUntil(sim::Seconds(1));
   EXPECT_EQ(remote->fetches(), 1);
   EXPECT_DOUBLE_EQ(remote->hit_rate(), 1.0);
-}
-
-}  // namespace
-}  // namespace cloudybench::cloud
-
-namespace cloudybench::cloud {
-namespace {
-
-TEST(ClusterTest, KillStaysDownUntilManualStart) {
-  // §II-E: the kill/stop APIs leave the service unavailable until an
-  // operator starts it — exactly why the paper's evaluator uses the
-  // restart model instead.
-  Rig rig(sut::SutKind::kAwsRds, 1);
-  EXPECT_TRUE(rig.cluster->ManualStartRw().code() ==
-              util::StatusCode::kFailedPrecondition);
-  rig.cluster->InjectRwKill(sim::Seconds(1));
-  rig.env.RunUntil(sim::Seconds(120));
-  // Two minutes later: still down (a restart-model failure would long have
-  // recovered).
-  EXPECT_FALSE(rig.cluster->rw_available());
-  EXPECT_TRUE(rig.cluster->rw_killed());
-  ASSERT_TRUE(rig.cluster->ManualStartRw().ok());
-  EXPECT_FALSE(rig.cluster->rw_killed());
-  rig.env.RunUntil(sim::Seconds(180));
-  EXPECT_TRUE(rig.cluster->rw_available());
 }
 
 }  // namespace

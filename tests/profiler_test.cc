@@ -82,7 +82,6 @@ TEST(ProfilerTest, MergesRepeatedStacksAndComputesExclusive) {
             "txn 80\n"
             "txn;op.get 60\n"
             "txn;op.get;cpu.charge 60\n");
-  EXPECT_FALSE(profile.has_wall_time());
 
   std::string chrome = profile.ChromeTraceJson();
   EXPECT_NE(chrome.find("\"name\":\"op.get\""), std::string::npos);
@@ -148,15 +147,13 @@ TEST(ProfilerTest, ProfilesEveryTrackCommittedOrNot) {
 struct TracedCell {
   std::string collapsed;
   std::string chrome;
-  Profiler profile;
 };
 
 /// Runs a short traced workload (same harness as the obs determinism test)
 /// and returns its profile.
-TracedCell RunTracedCell(uint64_t seed, bool wall_capture = false) {
+TracedCell RunTracedCell(uint64_t seed) {
   TraceRecorder& recorder = TraceRecorder::Get();
   recorder.SetEnabled(true);
-  recorder.SetWallCapture(wall_capture);
   recorder.Clear();
 
   SalesWorkloadConfig cfg;
@@ -183,12 +180,11 @@ TracedCell RunTracedCell(uint64_t seed, bool wall_capture = false) {
   EXPECT_EQ(manager.concurrency(), 0);
   EXPECT_GT(recorder.span_count(), 0u);
 
+  Profiler profile = Profiler::FromTrace(recorder);
   TracedCell out;
-  out.profile = Profiler::FromTrace(recorder);
-  out.collapsed = out.profile.CollapsedStack();
-  out.chrome = out.profile.ChromeTraceJson();
+  out.collapsed = profile.CollapsedStack();
+  out.chrome = profile.ChromeTraceJson();
   recorder.SetEnabled(false);
-  recorder.SetWallCapture(false);
   recorder.Clear();
   return out;
 }
@@ -202,20 +198,6 @@ TEST(ProfilerCellTest, ArtifactsAreByteIdenticalAcrossRuns) {
   EXPECT_NE(first.collapsed.find("log.flush_batch"), std::string::npos);
   EXPECT_EQ(first.collapsed, second.collapsed);
   EXPECT_EQ(first.chrome, second.chrome);
-}
-
-TEST(ProfilerCellTest, WallCaptureFillsWallTimeButNotArtifacts) {
-  TracedCell timed = RunTracedCell(11, /*wall_capture=*/true);
-  TracedCell untimed = RunTracedCell(11, /*wall_capture=*/false);
-
-  EXPECT_TRUE(timed.profile.has_wall_time());
-  EXPECT_FALSE(untimed.profile.has_wall_time());
-  // Wall stamps never perturb the byte-stable sim-time artifacts.
-  EXPECT_EQ(timed.collapsed, untimed.collapsed);
-  EXPECT_EQ(timed.chrome, untimed.chrome);
-  // The wall report renders and mentions at least the txn root.
-  std::string report = timed.profile.WallReport();
-  EXPECT_NE(report.find("txn"), std::string::npos);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the discrete-event simulation kernel: event ordering, coroutine
-// processes, inline task calls, join, waiters, and the two resource types.
+// processes, inline task calls, waiters, and the two resource types.
 
 #include <algorithm>
 #include <memory>
@@ -83,10 +83,13 @@ Process DelayTwice(Environment* env, std::vector<double>* log) {
 TEST(ProcessTest, DelaysAdvanceVirtualTime) {
   Environment env;
   std::vector<double> log;
-  ProcessRef ref = env.Spawn(DelayTwice(&env, &log));
+  FrameArena::Stats before = FrameArena::ThreadStats();
+  env.Spawn(DelayTwice(&env, &log));
+  EXPECT_EQ(FrameArena::ThreadStats().recycled, before.recycled);
   env.Run();
   EXPECT_EQ(log, (std::vector<double>{0.0, 1.0, 3.0}));
-  EXPECT_TRUE(ref->done);
+  // The finished frame went back to the arena.
+  EXPECT_EQ(FrameArena::ThreadStats().recycled, before.recycled + 1);
 }
 
 Process Immediate(int* out) {
@@ -97,35 +100,11 @@ Process Immediate(int* out) {
 TEST(ProcessTest, ProcessWithNoAwaitCompletesAtSpawn) {
   Environment env;
   int v = 0;
-  ProcessRef ref = env.Spawn(Immediate(&v));
+  FrameArena::Stats before = FrameArena::ThreadStats();
+  env.Spawn(Immediate(&v));
   EXPECT_EQ(v, 7);
-  EXPECT_TRUE(ref->done);
-}
-
-Process Joiner(Environment* env, ProcessRef target, double* join_time) {
-  co_await env->Join(std::move(target));
-  *join_time = env->Now().ToSeconds();
-}
-
-Process SleepFor(Environment* env, SimTime d) { co_await env->Delay(d); }
-
-TEST(ProcessTest, JoinWakesAtCompletion) {
-  Environment env;
-  double join_time = -1;
-  ProcessRef sleeper = env.Spawn(SleepFor(&env, Seconds(5)));
-  env.Spawn(Joiner(&env, sleeper, &join_time));
-  env.Run();
-  EXPECT_DOUBLE_EQ(join_time, 5.0);
-}
-
-TEST(ProcessTest, JoinOnFinishedProcessDoesNotBlock) {
-  Environment env;
-  int v = 0;
-  ProcessRef done = env.Spawn(Immediate(&v));
-  double join_time = -1;
-  env.Spawn(Joiner(&env, done, &join_time));
-  env.Run();
-  EXPECT_DOUBLE_EQ(join_time, 0.0);
+  // Spawn reclaims a frame that finished before its first suspension.
+  EXPECT_EQ(FrameArena::ThreadStats().recycled, before.recycled + 1);
 }
 
 // Inline Task<T> calls.
@@ -433,24 +412,6 @@ namespace cloudybench::sim {
 namespace {
 
 // ------------------------------------------------------- kernel extras
-
-Process JoinTarget(Environment* env) { co_await env->Delay(Seconds(2)); }
-
-Process JoinerN(Environment* env, ProcessRef target, int* counter) {
-  co_await env->Join(std::move(target));
-  ++*counter;
-}
-
-TEST(ProcessTest, MultipleJoinersAllWake) {
-  Environment env;
-  ProcessRef target = env.Spawn(JoinTarget(&env));
-  int woke = 0;
-  for (int i = 0; i < 5; ++i) env.Spawn(JoinerN(&env, target, &woke));
-  env.RunUntil(Seconds(1));
-  EXPECT_EQ(woke, 0);
-  env.Run();
-  EXPECT_EQ(woke, 5);
-}
 
 TEST(EnvironmentTest, PendingAndDispatchedCounters) {
   Environment env;
