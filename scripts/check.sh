@@ -51,7 +51,8 @@ run_suite() {
 # of run 1 | args of run 2.
 # @OUT@ expands to the run's own directory, which is diffed whole. The
 # rows cover DESIGN.md §4d (runner), §4e (timeline), §4j (profile), §4g
-# (fault), §4h (load), §4k (a multi-tenant row: tenant cells plus the
+# (fault), §4h (load, plus a think-time row whose sessions park between
+# transactions and pile up a ~100k backlog that the horizon cuts), §4k (a multi-tenant row: tenant cells plus the
 # MergeTenantRows fold, with the tenant rows in the JSONL) and §4l (chaos,
 # with the per-oracle verdict rows; the sweep exits non-zero when an oracle
 # fails, so that row is also a correctness gate), Table IX (55 sub-cells
@@ -67,6 +68,7 @@ DETERMINISM_ROWS=(
   "profile|bench/bench_runner_demo|--profile-collapsed-template=@OUT@/{id}.collapsed.txt --profile-chrome-template=@OUT@/{id}.trace.json|--jobs=1|--jobs=2"
   "fault|bench/bench_fault_matrix|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "load|bench/bench_saturation|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
+  "load_think|bench/bench_saturation|--smoke --arrivals=process=poisson,rate=20000,txns=3,think=20ms --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "cell_jobs|bench/bench_cell_scaling|--smoke --jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"
   "chaos|bench/bench_chaos_sweep|--smoke --jsonl=@OUT@/rows.jsonl --verdicts=@OUT@/verdicts.jsonl|--jobs=1|--jobs=2"
   "table9|bench/bench_table9_overall|--jsonl=@OUT@/rows.jsonl|--jobs=1|--jobs=2"

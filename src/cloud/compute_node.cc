@@ -69,7 +69,7 @@ sim::Task<void> ComputeNode::ChargeCpuTraced(sim::SimTime demand) {
 util::Status ComputeNode::Admit() {
   if (shedding_) {
     ++shed_rejects_;
-    return Status::ResourceExhausted(config_.name + " shedding load");
+    return Status::ResourceExhausted("shedding load");
   }
   return Status::OK();
 }
@@ -114,9 +114,7 @@ sim::Task<util::Status> ComputeNode::AwaitFetchSlot(storage::PageId pid) {
     }
     ++fetch_timeouts_;
     if (attempt >= fetch_policy_.max_retries) {
-      co_return Status::Unavailable(config_.name +
-                                    " fetch deadline exceeded; retries "
-                                    "exhausted");
+      co_return Status::Unavailable("fetch timed out");
     }
     co_await env_->Delay(BackoffDelay(attempt));
     if (!available_) co_return Status::Unavailable(config_.name + " down");

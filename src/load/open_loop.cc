@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "core/collector.h"
@@ -12,7 +11,6 @@
 #include "obs/metric_registry.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "sim/pool.h"
 #include "util/logging.h"
 #include "util/random.h"
 #include "util/stats.h"
@@ -21,52 +19,12 @@ namespace cloudybench::load {
 
 namespace {
 
-/// Resident slab accounting for the session pool. Held by shared_ptr from
-/// every allocator copy (shared_ptr control blocks keep their allocator),
-/// so the counters outlive the driver even when leftover suspended frames
-/// release their sessions at environment teardown.
-struct PoolStats {
-  int64_t live = 0;
-  int64_t hwm = 0;
-};
-
-/// sim::RecyclingAllocator with live-block accounting — the open-loop
-/// bounded-memory contract (session_pool_hwm) is measured here, at the
-/// allocation layer, not inferred from driver bookkeeping.
-template <typename T>
-struct CountingPoolAllocator {
-  using value_type = T;
-
-  explicit CountingPoolAllocator(std::shared_ptr<PoolStats> s)
-      : stats(std::move(s)) {}
-  template <typename U>
-  CountingPoolAllocator(const CountingPoolAllocator<U>& other) noexcept
-      : stats(other.stats) {}
-
-  T* allocate(size_t n) {
-    stats->live += static_cast<int64_t>(n);
-    stats->hwm = std::max(stats->hwm, stats->live);
-    return inner.allocate(n);
-  }
-  void deallocate(T* p, size_t n) noexcept {
-    stats->live -= static_cast<int64_t>(n);
-    inner.deallocate(p, n);
-  }
-
-  friend bool operator==(const CountingPoolAllocator& a,
-                         const CountingPoolAllocator& b) noexcept {
-    return a.stats == b.stats;
-  }
-
-  std::shared_ptr<PoolStats> stats;
-  sim::RecyclingAllocator<T> inner;
-};
-
 /// One logical user at rest: everything a session needs between
-/// transactions, and nothing more. Sessions spend most of their life as one
-/// of these pooled blocks; a coroutine frame exists only while one of the
-/// session's transactions is actually executing, so a million concurrent
-/// users cost ~a million of these, not a million coroutine stacks.
+/// transactions, and nothing more. A session is a 32-byte value that moves
+/// between the ready queue, the frame of its executing transaction and the
+/// closure of its think-time wakeup; a coroutine frame exists only while one
+/// of its transactions is actually executing, so a million concurrent users
+/// cost ~a million of these, not a million coroutine stacks.
 struct Session {
   util::Pcg32 rng;
   /// The current transaction's scheduled instant (absolute sim micros):
@@ -76,8 +34,7 @@ struct Session {
   int32_t txns_left = 0;
   uint32_t stream = 0;
 };
-
-using SessionPtr = std::shared_ptr<Session>;
+static_assert(sizeof(Session) <= 32);
 
 /// Shared run state. Coroutines and scheduled wakeups all hold a
 /// shared_ptr, so leftover suspended frames reclaimed at environment
@@ -92,7 +49,6 @@ struct State {
         options(o),
         gen(p, o.seed, o.horizon),
         collector(e),
-        pool_stats(std::make_shared<PoolStats>()),
         stream_latency_us(p.streams.size()),
         stream_lag_us(p.streams.size()) {}
 
@@ -103,7 +59,6 @@ struct State {
   OpenLoopOptions options;
   ArrivalGenerator gen;
   PerformanceCollector collector;
-  std::shared_ptr<PoolStats> pool_stats;
 
   /// Sliding window of the schedule: refilled batch-wise, never the run.
   std::vector<Arrival> window;
@@ -111,13 +66,16 @@ struct State {
   int64_t window_hwm = 0;
 
   /// Sessions due to execute, waiting for an executing slot.
-  std::deque<SessionPtr> ready;
+  std::deque<Session> ready;
 
   int64_t base_us = 0;
   bool stopped = false;
 
   int executing = 0;
   int64_t executing_hwm = 0;
+  /// Live sessions: +1 at admission, -1 at retirement or after the stop.
+  /// Each one is exactly one Session value wherever it is, so this also
+  /// counts resident session state.
   int64_t inflight = 0;
   int64_t inflight_hwm = 0;
   int64_t arrivals = 0;
@@ -138,11 +96,7 @@ struct State {
 
 using StatePtr = std::shared_ptr<State>;
 
-sim::Process RunTransaction(StatePtr state, SessionPtr sess);
-
-void EnqueueReady(State& st, SessionPtr sess) {
-  st.ready.push_back(std::move(sess));
-}
+sim::Process RunTransaction(StatePtr state, Session sess);
 
 /// Fills free executing slots from the ready queue, FIFO. Called after
 /// every event that frees a slot or adds a ready session.
@@ -150,32 +104,32 @@ void Pump(const StatePtr& state) {
   State& st = *state;
   while (!st.stopped && st.executing < st.options.max_executing &&
          !st.ready.empty()) {
-    SessionPtr sess = std::move(st.ready.front());
+    Session sess = st.ready.front();
     st.ready.pop_front();
-    st.env->Spawn(RunTransaction(state, std::move(sess)));
+    st.env->Spawn(RunTransaction(state, sess));
   }
 }
 
 /// Executes exactly one of the session's transactions, then either parks
-/// the session for its think time (pooled block only — this frame dies) or
-/// retires it.
-sim::Process RunTransaction(StatePtr state, SessionPtr sess) {
+/// the session for its think time (the value rides in the wakeup's closure —
+/// this frame dies) or retires it.
+sim::Process RunTransaction(StatePtr state, Session sess) {
   State& st = *state;
   ++st.executing;
   st.executing_hwm = std::max(st.executing_hwm,
                               static_cast<int64_t>(st.executing));
-  double lag = static_cast<double>(st.env->Now().us - sess->scheduled_us);
+  double lag = static_cast<double>(st.env->Now().us - sess.scheduled_us);
   st.lag_us.Add(lag);
-  st.stream_lag_us[sess->stream].Add(lag);
+  st.stream_lag_us[sess.stream].Add(lag);
 
   TxnType type = TxnType::kOther;
-  util::Status s = co_await st.txns->RunOne(st.cluster, sess->rng, &type);
+  util::Status s = co_await st.txns->RunOne(st.cluster, sess.rng, &type);
 
   double latency_ms =
-      static_cast<double>(st.env->Now().us - sess->scheduled_us) / 1e3;
+      static_cast<double>(st.env->Now().us - sess.scheduled_us) / 1e3;
   if (s.ok()) {
     st.collector.RecordCommit(type, latency_ms);
-    st.stream_latency_us[sess->stream].Add(latency_ms * 1000.0);
+    st.stream_latency_us[sess.stream].Add(latency_ms * 1000.0);
   } else if (s.IsUnavailable()) {
     st.collector.RecordUnavailable(type);
   } else {
@@ -187,29 +141,25 @@ sim::Process RunTransaction(StatePtr state, SessionPtr sess) {
     --st.inflight;
     co_return;
   }
-  if (--sess->txns_left > 0) {
-    const ArrivalSpec& spec = st.plan.streams[sess->stream];
-    sess->scheduled_us = st.env->Now().us + spec.think.us;
+  if (--sess.txns_left > 0) {
+    const ArrivalSpec& spec = st.plan.streams[sess.stream];
+    sess.scheduled_us = st.env->Now().us + spec.think.us;
     if (spec.think.us > 0) {
-      // Park: the session survives as its pooled block inside this
-      // closure; no coroutine frame until the wakeup fires. (Read the
-      // wakeup time before the capture moves `sess` — argument evaluation
-      // order is unspecified.)
-      sim::SimTime wake{sess->scheduled_us};
-      st.env->ScheduleCall(
-          wake, [state, sess = std::move(sess)]() mutable {
-            if (state->stopped) {
-              --state->inflight;
-              return;
-            }
-            EnqueueReady(*state, std::move(sess));
-            Pump(state);
-          });
+      // Park: the session survives inside this closure; no coroutine
+      // frame until the wakeup fires.
+      st.env->ScheduleCall(sim::SimTime{sess.scheduled_us}, [state, sess] {
+        if (state->stopped) {
+          --state->inflight;
+          return;
+        }
+        state->ready.push_back(sess);
+        Pump(state);
+      });
     } else {
-      EnqueueReady(st, std::move(sess));
+      st.ready.push_back(sess);
     }
   } else {
-    --st.inflight;  // retired; the block recycles when the last ref drops
+    --st.inflight;  // retired
   }
   Pump(state);
 }
@@ -239,19 +189,12 @@ sim::Process DispatcherLoop(StatePtr state) {
     }
     ++st.cursor;
 
-    const ArrivalSpec& spec = st.plan.streams[a.stream];
-    SessionPtr sess = std::allocate_shared<Session>(
-        CountingPoolAllocator<Session>(st.pool_stats));
-    sess->rng =
-        util::SplitStream(st.options.seed, util::kSessionStream, a.seq);
-    sess->scheduled_us = at_us;
-    sess->txns_left = spec.txns_per_session;
-    sess->stream = a.stream;
-
     ++st.arrivals;
     ++st.inflight;
     st.inflight_hwm = std::max(st.inflight_hwm, st.inflight);
-    EnqueueReady(st, std::move(sess));
+    st.ready.push_back(Session{
+        util::SplitStream(st.options.seed, util::kSessionStream, a.seq),
+        at_us, st.plan.streams[a.stream].txns_per_session, a.stream});
     Pump(state);
   }
 }
@@ -303,7 +246,7 @@ OpenLoopResult OpenLoopDriver::Run(sim::Environment* env,
   registry.RegisterGauge("load.lag_ms", [state] {
     if (state->ready.empty()) return 0.0;
     return static_cast<double>(state->env->Now().us -
-                               state->ready.front()->scheduled_us) /
+                               state->ready.front().scheduled_us) /
            1e3;
   });
 
@@ -339,7 +282,7 @@ OpenLoopResult OpenLoopDriver::Run(sim::Environment* env,
   result.lag_max_ms = state->lag_us.max() / 1e3;
   result.inflight_hwm = state->inflight_hwm;
   result.executing_hwm = state->executing_hwm;
-  result.session_pool_hwm = state->pool_stats->hwm;
+  result.session_pool_hwm = state->inflight_hwm;
   result.schedule_window_hwm = state->window_hwm;
   result.horizon_seconds = horizon_s;
   result.streams.reserve(plan.streams.size());

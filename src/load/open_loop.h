@@ -79,8 +79,9 @@ struct OpenLoopResult {
   int64_t inflight_hwm = 0;
   /// Concurrently executing transaction coroutines, peak (<= max_executing).
   int64_t executing_hwm = 0;
-  /// Pooled session blocks resident, peak — the bounded-memory contract:
-  /// O(in-flight), independent of total arrivals.
+  /// Resident session values, peak — the bounded-memory contract:
+  /// O(in-flight), independent of total arrivals. Every live session is one
+  /// 32-byte value (queued, executing or parked), so this is inflight_hwm.
   int64_t session_pool_hwm = 0;
   /// Largest materialized slice of the arrival schedule (<= options.batch).
   int64_t schedule_window_hwm = 0;

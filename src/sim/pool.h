@@ -7,78 +7,14 @@
 
 namespace cloudybench::sim {
 
-/// Thread-local recycling allocator for fixed-size control blocks.
-///
-/// Used with std::allocate_shared so an open-loop session (and its
-/// shared_ptr control block, fused into one allocation) comes off a free
-/// list instead of the global allocator (load/open_loop.cc wraps it with
-/// live-block accounting) — sessions stop allocating in steady state.
-///
-/// The free list is thread-local, which matches the codebase's thread model:
-/// an Environment is thread-affine and sessions never cross threads (the
-/// matrix runner gives each worker its own cells). Blocks are returned to
-/// the list of whichever thread released the last reference and freed for
-/// real at thread exit.
-///
-/// Each distinct T gets its own free list (the allocate_shared rebind
-/// produces one concrete node type per payload type), so every recycled
-/// block is exactly the right size.
-template <typename T>
-struct RecyclingAllocator {
-  using value_type = T;
-
-  RecyclingAllocator() = default;
-  template <typename U>
-  RecyclingAllocator(const RecyclingAllocator<U>&) noexcept {}
-
-  T* allocate(size_t n) {
-    if (n == 1) {
-      FreeList& fl = List();
-      if (!fl.blocks.empty()) {
-        void* p = fl.blocks.back();
-        fl.blocks.pop_back();
-        return static_cast<T*>(p);
-      }
-    }
-    return static_cast<T*>(::operator new(n * sizeof(T)));
-  }
-
-  void deallocate(T* p, size_t n) noexcept {
-    if (n == 1) {
-      List().blocks.push_back(p);
-      return;
-    }
-    ::operator delete(p);
-  }
-
-  friend bool operator==(const RecyclingAllocator&,
-                         const RecyclingAllocator&) noexcept {
-    return true;
-  }
-
- private:
-  struct FreeList {
-    std::vector<void*> blocks;
-    ~FreeList() {
-      for (void* p : blocks) ::operator delete(p);
-    }
-  };
-
-  static FreeList& List() {
-    thread_local FreeList list;
-    return list;
-  }
-};
-
 /// Thread-local size-bucketed free lists for coroutine frames.
 ///
 /// Every Task<T>/Process promise inherits an operator new/delete pair that
 /// routes frame allocation here (see task.h). Frame sizes are
-/// compiler-chosen and vary per coroutine, so unlike RecyclingAllocator the
-/// arena buckets by size: requests are rounded up to 64-byte classes and
-/// each class keeps its own stack of recycled blocks. Steady-state txn
-/// traffic re-runs the same coroutines, so after warm-up every frame
-/// allocation is a bucket pop.
+/// compiler-chosen and vary per coroutine, so the arena buckets by size:
+/// requests are rounded up to 64-byte classes and each class keeps its own
+/// stack of recycled blocks. Steady-state txn traffic re-runs the same
+/// coroutines, so after warm-up every frame allocation is a bucket pop.
 ///
 /// Frames above kMaxBlockBytes (rare: deep single-frame coroutines) fall
 /// through to the global allocator. The rounded size is stored in a header

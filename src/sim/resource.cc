@@ -12,20 +12,21 @@ int SlotsForCapacity(double capacity) {
 }  // namespace
 
 SlotResource::SlotResource(Environment* env, double capacity)
-    : env_(env), capacity_(capacity), slots_(SlotsForCapacity(capacity)) {
+    : env_(env) {
   CB_CHECK(env != nullptr);
-  CB_CHECK_GE(capacity, 0.0);
+  SetCapacity(capacity);
 }
 
 double SlotResource::speed() const {
   CB_CHECK_GT(slots_, 0);
-  return capacity_ / static_cast<double>(slots_);
+  return speed_;
 }
 
 void SlotResource::SetCapacity(double capacity) {
   CB_CHECK_GE(capacity, 0.0);
   capacity_ = capacity;
   slots_ = SlotsForCapacity(capacity);
+  if (slots_ > 0) speed_ = capacity_ / static_cast<double>(slots_);
   GrantWaiters();
 }
 

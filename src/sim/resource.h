@@ -74,7 +74,7 @@ class SlotResource {
   /// retroactively stretch in-flight work (documented approximation).
   SimTime ServiceTime(SimTime demand) const {
     return SimTime{
-        static_cast<int64_t>(static_cast<double>(demand.us) / speed())};
+        static_cast<int64_t>(static_cast<double>(demand.us) / speed_)};
   }
   /// Takes a slot, or queues FIFO until GrantWaiters() takes one for the
   /// caller. Every granted Acquire() pairs with exactly one Release().
@@ -102,8 +102,11 @@ class SlotResource {
   static void FinishConsume(void* self, int64_t demand_us);
 
   Environment* env_;
-  double capacity_;
-  int slots_;
+  double capacity_ = 0.0;
+  int slots_ = 0;
+  /// capacity_ / slots_, kept while slots_ is 0 so a holder granted
+  /// before a pause still has its speed.
+  double speed_ = 0.0;
   int active_ = 0;
   double busy_core_seconds_ = 0.0;
   std::deque<std::coroutine_handle<>> waiting_;
